@@ -215,7 +215,7 @@ int main() {
                 Table::sci(mean(dflfPushErr[fraction]), 1),
                 Table::sci(mean(mcL1Err[fraction]), 1),
                 Table::sci(mean(ndlfErr[fraction]), 1),
-                "tau scales as 1e-3/|V| (see DESIGN.md)"});
+                "tau = 1e-3/|V|: the paper's tolerance relative to 1/|V|"});
   }
   err.print(std::cout);
   return 0;

@@ -5,10 +5,10 @@
 // The BM_Mapped* group runs the pull kernels from a memory-mapped
 // dataset snapshot (csr_file.hpp) sized by LFPR_BENCH_SCALE: at scale 0
 // a cache-resident smoke graph, at scale 2 a ~30M-edge web stand-in
-// whose working set exceeds L3 — the regime where the cached-CSR vs
-// Weighted layout comparison is meaningful (ROADMAP open question). The
-// snapshot is generated once into LFPR_DATASET_DIR (defaulted to a temp
-// dir by main below) and mmap-loaded on every later run.
+// whose working set exceeds L3, so the kernel number includes the
+// memory-bound gather the in-cache lanes hide. The snapshot is generated
+// once into LFPR_DATASET_DIR (defaulted to a temp dir by main below) and
+// mmap-loaded on every later run.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -19,7 +19,6 @@
 #include "generate/generators.hpp"
 #include "graph/csr_file.hpp"
 #include "graph/dynamic_digraph.hpp"
-#include "graph/pull_csr.hpp"
 #include "harness/datasets.hpp"
 #include "harness/scenario.hpp"
 #include "pagerank/atomics.hpp"
@@ -71,49 +70,6 @@ void BM_RankPullKernelAtomic(benchmark::State& state) {
                           static_cast<std::int64_t>(g.numEdges()));
 }
 BENCHMARK(BM_RankPullKernelAtomic);
-
-void BM_RankPullKernelWeighted(benchmark::State& state) {
-  const auto g = makeGraph(12, 32000);
-  const WeightedPullCsr pull(g);
-  const std::vector<double> ranks(g.numVertices(), 1.0 / g.numVertices());
-  const double base = 0.15 / static_cast<double>(g.numVertices());
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-      acc += detail::pullRank(pull, ranks, v, 0.85, base);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.numEdges()));
-}
-BENCHMARK(BM_RankPullKernelWeighted);
-
-void BM_RankPullKernelWeightedAtomic(benchmark::State& state) {
-  const auto g = makeGraph(12, 32000);
-  const WeightedPullCsr pull(g);
-  const AtomicF64Vector ranks(g.numVertices(), 1.0 / g.numVertices());
-  const double base = 0.15 / static_cast<double>(g.numVertices());
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-      acc += detail::pullRank(pull, ranks, v, 0.85, base);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.numEdges()));
-}
-BENCHMARK(BM_RankPullKernelWeightedAtomic);
-
-void BM_WeightedLayoutBuild(benchmark::State& state) {
-  const auto g = makeGraph(12, 32000);
-  for (auto _ : state) {
-    WeightedPullCsr pull(g);
-    benchmark::DoNotOptimize(pull.numEdges());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.numEdges()));
-}
-BENCHMARK(BM_WeightedLayoutBuild);
 
 // --- Mapped-snapshot kernels -----------------------------------------------
 
@@ -175,38 +131,6 @@ void BM_MappedRankPullKernelAtomic(benchmark::State& state) {
                           static_cast<std::int64_t>(g.numEdges()));
 }
 BENCHMARK(BM_MappedRankPullKernelAtomic);
-
-void BM_MappedRankPullKernelWeighted(benchmark::State& state) {
-  const CsrGraph& g = mappedSnapshot();
-  static const WeightedPullCsr pull(mappedSnapshot());  // built from the mapping
-  const std::vector<double> ranks(g.numVertices(), 1.0 / g.numVertices());
-  const double base = 0.15 / static_cast<double>(g.numVertices());
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-      acc += detail::pullRank(pull, ranks, v, 0.85, base);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.numEdges()));
-}
-BENCHMARK(BM_MappedRankPullKernelWeighted);
-
-void BM_MappedRankPullKernelWeightedAtomic(benchmark::State& state) {
-  const CsrGraph& g = mappedSnapshot();
-  static const WeightedPullCsr pull(mappedSnapshot());
-  const AtomicF64Vector ranks(g.numVertices(), 1.0 / g.numVertices());
-  const double base = 0.15 / static_cast<double>(g.numVertices());
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-      acc += detail::pullRank(pull, ranks, v, 0.85, base);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.numEdges()));
-}
-BENCHMARK(BM_MappedRankPullKernelWeightedAtomic);
 
 // --- Sparse-frontier scheduling: dense scan vs worklist --------------------
 //

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   // Synthetic interaction stream: 20k users, 150k timestamped events with
   // repeat interactions, mimicking a Q&A site's activity stream. Narrow
   // temporal-locality windows give the stream the large effective
-  // diameter that keeps incremental updates local (see DESIGN.md).
+  // diameter that keeps incremental updates local.
   Rng rng(7);
   TemporalEdgeListData stream;
   stream.numVertices = 20000;

@@ -6,8 +6,8 @@
 # fingerprint into one JSON document.
 #
 # With LFPR_RECORD_SCALE2=1 it additionally runs the mapped-snapshot
-# kernel group (BM_Mapped*) at LFPR_BENCH_SCALE=2 — the larger-than-L3
-# cached-CSR vs Weighted comparison — into a "bench_micro_kernels_scale2"
+# kernel group (BM_Mapped*) at LFPR_BENCH_SCALE=2 — the pull kernel on a
+# working set larger than L3 — into a "bench_micro_kernels_scale2"
 # section. Point LFPR_DATASET_DIR at a persistent cache first: the
 # scale-2 snapshot generates once (minutes) and mmap-loads thereafter.
 #

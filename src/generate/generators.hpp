@@ -4,8 +4,9 @@
 // social, road, protein k-mer) plus 2 SNAP temporal networks. Those
 // datasets are hundreds of millions to billions of edges and are not
 // available offline, so we generate deterministic stand-ins from the same
-// structural families at laptop scale (see DESIGN.md Section 3 for the
-// substitution argument). Every generator is seeded and reproducible.
+// structural families at laptop scale: the engines' relative behaviour
+// depends on degree skew, locality and diameter, which a family keeps at
+// any size. Every generator is seeded and reproducible.
 #pragma once
 
 #include <vector>
@@ -29,8 +30,7 @@ std::vector<Edge> generateRmat(int scale, EdgeId numEdges, Rng& rng, double a = 
 /// (crawl/topical locality), and a few go to globally popular hub pages.
 /// This matches the defining properties of real crawls that RMAT lacks:
 /// heavy-tailed degrees *with* strong locality and a large effective
-/// diameter — the structure that keeps dynamic-frontier propagation local
-/// (DESIGN.md Section 3).
+/// diameter — the structure that keeps dynamic-frontier propagation local.
 std::vector<Edge> generateWebGraph(VertexId numPages, VertexId hostSize,
                                    double avgOutDegree, Rng& rng);
 

@@ -18,9 +18,8 @@ namespace {
 // Scale 2 is sized so the big web stand-ins reach ~30M edges: the pull
 // kernels' working set (in-sources + rank vector) then exceeds even a
 // 105 MiB server L3, which is the regime the paper's SuiteSparse graphs
-// occupy and the one where the Weighted layout's sequential arc stream
-// is supposed to pay off (ROADMAP open question; settled in
-// BENCH_pr4.json). Generating that tier takes minutes — use the dataset
+// occupy, so the mapped-snapshot kernel benches measure a memory-bound
+// gather there. Generating that tier takes minutes — use the dataset
 // cache (LFPR_DATASET_DIR) so it happens once.
 double scaleFactor(int scale) {
   switch (scale) {
@@ -49,7 +48,7 @@ DatasetSpec webSpec(std::string name, std::string paperName, double pV, double p
         // Small hosts keep the frontier ball (a few host-hops wide) at a
         // few hundred pages; with tens of thousands of hosts the ball is
         // a small share of the graph, as on the real multi-million-page
-        // crawls (DESIGN.md Section 3).
+        // crawls.
         return finalize(n, generateWebGraph(n, /*hostSize=*/50, avgDegree, rng));
       }};
 }
@@ -78,7 +77,7 @@ DatasetSpec roadSpec(std::string name, std::string paperName, double pV, double 
         Rng rng(seed);
         // Shortcuts are kept rare: long-range links shrink the effective
         // diameter, and the Dynamic Frontier's advantage on road networks
-        // rests on diameter >> frontier radius (DESIGN.md Section 3).
+        // rests on diameter >> frontier radius.
         auto edges = generateGrid(r, c, /*shortcutFraction=*/0.002, rng);
         // Thin the lattice toward the road-network average degree (~3.1):
         // drop a quarter of the undirected links before symmetrizing.

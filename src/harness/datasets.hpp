@@ -1,8 +1,9 @@
 // Registry of deterministic synthetic stand-ins for the paper's datasets
 // (Tables 1 and 2). Each spec records which paper graph it substitutes
 // and that graph's published statistics so the dataset tables can print
-// paper-vs-generated side by side. See DESIGN.md Section 3 for why these
-// substitutions preserve the evaluated behaviour.
+// paper-vs-generated side by side. A stand-in keeps its class's degree
+// skew, locality and effective diameter, which set how far a batch's
+// rank change spreads, so the dynamic engines face the same regime.
 #pragma once
 
 #include <cstdint>

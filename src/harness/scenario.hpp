@@ -44,7 +44,7 @@ PageRankResult runOnScenario(Approach approach, const DynamicScenario& s,
 /// which inflates iteration counts and the Dynamic Frontier's propagation
 /// radius. Holding the relative criterion fixed (tau = 1e-3/n, tau_f =
 /// tau/1000) keeps iteration counts and frontier sizes comparable to the
-/// paper's regime. See DESIGN.md Section 3.
+/// paper's regime.
 PageRankOptions scaledOptions(VertexId numVertices, PageRankOptions base = {});
 
 }  // namespace lfpr

@@ -5,11 +5,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "graph/pull_csr.hpp"
 #include "pagerank/atomics.hpp"
 #include "pagerank/options.hpp"
 
@@ -23,12 +21,12 @@ struct alignas(64) PaddedU64 {
   std::uint64_t value = 0;
 };
 
-// The four pull kernels below all compute Equation 1 restricted to one
+// The two pull kernels below both compute Equation 1 restricted to one
 // vertex, r = (1-alpha)/n + alpha * sum_{u in G.in(v)} R[u] / outdeg(u),
 // as a pure multiply-add: the division is precomputed per source
-// (CsrGraph's contribution cache / the weighted layout's inlined arc
-// weight) and alpha is hoisted out of the loop, so the per-edge work is
-// one gather plus one fma instead of a divide and two offset loads.
+// (CsrGraph's contribution cache) and alpha is hoisted out of the loop,
+// so the per-edge work is one gather plus one fma instead of a divide and
+// two offset loads.
 
 /// Contribution-cached kernel reading from a plain vector (synchronous BB
 /// engines).
@@ -49,44 +47,6 @@ inline double pullRank(const CsrGraph& g, const AtomicF64Vector& ranks, VertexId
   double sum = 0.0;
   for (VertexId u : g.in(v)) sum += ranks.load(u) * inv[u];
   return base + alpha * sum;
-}
-
-/// Weighted-layout kernel (PageRankOptions::pullLayout == Weighted): one
-/// sequential (src, weight) stream, one random rank load per edge.
-inline double pullRank(const WeightedPullCsr& p, const std::vector<double>& ranks,
-                       VertexId v, double alpha, double base) noexcept {
-  double sum = 0.0;
-  for (const PullArc& a : p.in(v)) sum += ranks[a.src] * a.weight;
-  return base + alpha * sum;
-}
-
-inline double pullRank(const WeightedPullCsr& p, const AtomicF64Vector& ranks,
-                       VertexId v, double alpha, double base) noexcept {
-  double sum = 0.0;
-  for (const PullArc& a : p.in(v)) sum += ranks.load(a.src) * a.weight;
-  return base + alpha * sum;
-}
-
-/// Materialize the weighted layout iff the options select it. Engines
-/// build this once per solve, before their timer starts (the layout is
-/// snapshot preparation, like the CSR build itself — measurement
-/// protocol, Section 5.1.5), and pass `&*layout` / nullptr to the kernel
-/// dispatch.
-inline std::optional<WeightedPullCsr> buildPullLayout(const PageRankOptions& opt,
-                                                      const CsrGraph& g) {
-  if (opt.pullLayout != PullLayout::Weighted) return std::nullopt;
-  return WeightedPullCsr(g);
-}
-
-/// Kernel dispatch shared by every engine: the weighted layout when the
-/// solve built one, the contribution-cached CSR kernel otherwise. One
-/// branch per vertex, not per edge.
-template <typename Ranks>
-inline double pullRankDispatch(const WeightedPullCsr* pull, const CsrGraph& g,
-                               const Ranks& ranks, VertexId v, double alpha,
-                               double base) noexcept {
-  return pull != nullptr ? pullRank(*pull, ranks, v, alpha, base)
-                         : pullRank(g, ranks, v, alpha, base);
 }
 
 /// Mark w affected unless it already is. The affected bitmap is monotone

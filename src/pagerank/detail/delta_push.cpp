@@ -167,8 +167,7 @@ bool seedChunk(const DeltaPushShared& s, std::size_t begin, std::size_t end,
   std::size_t i = begin;
   while ((i = s.affected.firstNonZero(i, end)) < end) {
     const auto v = static_cast<VertexId>(i);
-    const double target =
-        pullRankDispatch(s.pull, s.graph, s.ranks, v, alpha, base);
+    const double target = pullRank(s.graph, s.ranks, v, alpha, base);
     s.residual.store(i, target - s.ranks.load(i));
     LFPR_COUNT(s.stats, rePulls, 1);
     if (tid >= 0 && s.fault != nullptr && !s.fault->onVertexProcessed(tid))

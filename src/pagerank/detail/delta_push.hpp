@@ -27,7 +27,6 @@
 #include <memory>
 
 #include "graph/csr.hpp"
-#include "graph/pull_csr.hpp"
 #include "pagerank/atomics.hpp"
 #include "pagerank/detail/stats.hpp"
 #include "pagerank/options.hpp"
@@ -78,9 +77,6 @@ class TeamQuiescence {
 
 struct DeltaPushShared {
   const CsrGraph& graph;
-  /// Seed-phase pull layout (PullLayout::Weighted support); the push
-  /// iteration itself never pulls.
-  const WeightedPullCsr* pull = nullptr;
   AtomicF64Vector& ranks;
   /// Per-vertex pending-mass accumulators (LfEngineState::residual).
   AtomicF64Vector& residual;

@@ -65,9 +65,6 @@ PageRankResult lfFullStep(LfEngineState& state, const CsrGraph& curr,
   PageRankOptions resolved = opt;
   resolved.numThreads = team.size();
 
-  const auto pullCsr = buildPullLayout(resolved, curr);
-  const WeightedPullCsr* pull = pullCsr ? &*pullCsr : nullptr;
-
   // Paper Algorithm 4 note: RC semantics are 1 = "rank has not yet
   // converged"; every vertex starts unconverged for Static/ND.
   state.notConverged.fill(1);
@@ -88,7 +85,6 @@ PageRankResult lfFullStep(LfEngineState& state, const CsrGraph& curr,
                                                    /*seedSweep=*/true);
 
   const LfShared shared{curr,
-                        pull,
                         state.ranks,
                         state.notConverged,
                         /*affected=*/nullptr,
@@ -154,8 +150,6 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
   resolved.numThreads = team.size();
 
   const std::vector<Edge> edges = concatBatch(batch);
-  const auto pullCsr = buildPullLayout(resolved, curr);
-  const WeightedPullCsr* pull = pullCsr ? &*pullCsr : nullptr;
   state.affected.fill(0);
   state.notConverged.fill(0);
   state.checked.fill(0);
@@ -186,7 +180,6 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
                                                    /*seedSweep=*/false);
 
   const LfShared iterate{curr,
-                         pull,
                          state.ranks,
                          state.notConverged,
                          &state.affected,
@@ -262,8 +255,6 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
   resolved.numThreads = team.size();
 
   const std::vector<Edge> edges = concatBatch(batch);
-  const auto pullCsr = buildPullLayout(resolved, curr);
-  const WeightedPullCsr* pull = pullCsr ? &*pullCsr : nullptr;
   state.affected.fill(0);
   state.notConverged.fill(0);
   state.checked.fill(0);
@@ -292,12 +283,12 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
   WorklistScheduler worklist(n, team.size(), /*seedSweep=*/false);
   TeamQuiescence quiescence(team.size());
 
-  const DeltaPushShared shared{curr,        pull,        state.ranks,
-                               residual,    state.notConverged,
-                               state.affected,           seedDone,
-                               seedCursor,  allConverged, maxRound,
-                               rankUpdates, resolved,    fault,
-                               worklist,    quiescence,  &counters};
+  const DeltaPushShared shared{curr,        state.ranks, residual,
+                               state.notConverged,       state.affected,
+                               seedDone,    seedCursor,  allConverged,
+                               maxRound,    rankUpdates, resolved,
+                               fault,       worklist,    quiescence,
+                               &counters};
   const Stopwatch timer;
   // Phase A: DF marking, then residual seeding against the still-frozen
   // ranks. The helping rescans inside both workers mean a returning

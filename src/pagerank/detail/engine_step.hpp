@@ -1,5 +1,5 @@
 // Resumable step API for the lock-free engines (the PR 6 service
-// refactor). The one-shot entry points (powerIterateLF, dynamicLF) used
+// refactor). The one-shot entry points (staticLF/ndLF, dynamicLF) used
 // to own their working state — rank vector, affected / notConverged /
 // checked flags — allocate it per call, run to convergence, and copy the
 // ranks out. A long-lived service solving batch after batch against the

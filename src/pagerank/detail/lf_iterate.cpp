@@ -189,10 +189,6 @@ void wakeNeighbours(const LfShared& s, VertexId v, double dr, double tauF) {
     propagateUnconverged(s, v);
 }
 
-double pull(const LfShared& s, VertexId v, double alpha, double base) {
-  return pullRankDispatch(s.pull, s.graph, s.ranks, v, alpha, base);
-}
-
 /// Pull-update vertex v once and maintain its convergence flags per the
 /// protocol above.
 void updateVertex(const LfShared& s, VertexId v, double alpha, double base,
@@ -200,7 +196,7 @@ void updateVertex(const LfShared& s, VertexId v, double alpha, double base,
   const double tau = s.opt.tolerance;
   const double tauF = s.opt.frontierTolerance;
 
-  const double r = pull(s, v, alpha, base);
+  const double r = pullRank(s.graph, s.ranks, v, alpha, base);
   const double dr = std::fabs(r - s.ranks.exchange(v, r));
   ++updates;
   LFPR_COUNT(s.stats, rankPublishes, 1);
@@ -222,7 +218,7 @@ void updateVertex(const LfShared& s, VertexId v, double alpha, double base,
     // return 1.
     LFPR_COUNT(s.stats, flagRmws, 1);
     if (s.notConverged.exchange(v, 0, std::memory_order_acquire) != 0) {
-      const double r2 = pull(s, v, alpha, base);
+      const double r2 = pullRank(s.graph, s.ranks, v, alpha, base);
       const double dr2 = std::fabs(r2 - s.ranks.exchange(v, r2));
       ++updates;
       LFPR_COUNT(s.stats, rankPublishes, 1);
@@ -247,7 +243,7 @@ void updateOwnedVertexDiet(const LfShared& s, VertexId v, double alpha,
   const double tau = s.opt.tolerance;
   const double tauF = s.opt.frontierTolerance;
 
-  const double r = pull(s, v, alpha, base);
+  const double r = pullRank(s.graph, s.ranks, v, alpha, base);
   const double dr = std::fabs(r - s.ranks.load(v));
   s.ranks.store(v, r);
   ++updates;
@@ -260,7 +256,7 @@ void updateOwnedVertexDiet(const LfShared& s, VertexId v, double alpha,
   } else if (s.notConverged.load(v) == 1) {
     LFPR_COUNT(s.stats, flagRmws, 1);
     if (s.notConverged.exchange(v, 0, std::memory_order_acquire) != 0) {
-      const double r2 = pull(s, v, alpha, base);
+      const double r2 = pullRank(s.graph, s.ranks, v, alpha, base);
       const double dr2 = std::fabs(r2 - s.ranks.load(v));
       s.ranks.store(v, r2);
       ++updates;

@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "graph/csr.hpp"
-#include "graph/pull_csr.hpp"
 #include "pagerank/atomics.hpp"
 #include "pagerank/detail/stats.hpp"
 #include "pagerank/options.hpp"
@@ -27,10 +26,6 @@ namespace lfpr::detail {
 
 struct LfShared {
   const CsrGraph& graph;
-  /// Non-null when opt.pullLayout == PullLayout::Weighted: the derived
-  /// (src, weight) arc stream the pull kernel reads instead of the CSR
-  /// in-lists. Frontier expansion still walks graph.out().
-  const WeightedPullCsr* pull = nullptr;
   AtomicF64Vector& ranks;
   /// Per-vertex "not yet converged" flags. For Static/ND engines this is
   /// initialized to 1 everywhere; for DT/DF engines the marking phase

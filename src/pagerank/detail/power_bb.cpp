@@ -27,9 +27,6 @@ PageRankResult powerIterateBB(const CsrGraph& g, std::vector<double> init,
   ThreadTeam team(opt.numThreads);
   const int numThreads = team.size();
 
-  const auto pullCsr = buildPullLayout(opt, g);
-  const WeightedPullCsr* pull = pullCsr ? &*pullCsr : nullptr;
-
   std::vector<double> rankA = std::move(init);
   std::vector<double> rankB = rankA;
   InstrumentedBarrier barrier(numThreads, opt.barrierTimeout);
@@ -64,7 +61,7 @@ PageRankResult powerIterateBB(const CsrGraph& g, std::vector<double> init,
         for (std::size_t i = chunkBegin; i < chunkEnd; ++i) {
           const auto v = static_cast<VertexId>(i);
           if (affected != nullptr && affected->load(v) == 0) continue;
-          const double r = pullRankDispatch(pull, g, ranks, v, alpha, base);
+          const double r = pullRank(g, ranks, v, alpha, base);
           const double dr = std::fabs(r - ranks[v]);
           ranksNew[v] = r;
           threadMax = std::max(threadMax, dr);

@@ -31,17 +31,6 @@ enum class SchedulingMode : int {
   Worklist,
 };
 
-/// Memory layout the rank-pull kernel reads the in-adjacency from.
-enum class PullLayout : int {
-  /// The snapshot's CSR in-lists plus the per-source contribution cache
-  /// (two arrays; no extra memory).
-  Csr,
-  /// A derived stream of (source, 1/outdeg) arcs built per solve — one
-  /// sequential read stream for the kernel at the cost of O(m) extra
-  /// memory and an O(n + m) build per snapshot.
-  Weighted,
-};
-
 struct PageRankOptions {
   /// Damping factor alpha.
   double alpha = 0.85;
@@ -64,8 +53,6 @@ struct PageRankOptions {
   /// dynamic chunks — the Eedi et al. scheduling the paper improves on
   /// (Section 3.3.2).
   bool staticSchedule = false;
-  /// In-adjacency layout for the rank-pull kernel (see PullLayout).
-  PullLayout pullLayout = PullLayout::Csr;
   /// Work-discovery scheme for the lock-free engines (see SchedulingMode).
   SchedulingMode scheduling = SchedulingMode::Chunked;
   /// DeltaPush only: Ligra-PRDelta-style relative term of the activation

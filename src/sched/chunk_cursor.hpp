@@ -1,7 +1,7 @@
 // Lock-free dynamic work distribution.
 //
-// This is the library's equivalent of OpenMP's `schedule(dynamic, chunk)`
-// with `nowait` (Section 3.3.2 of the paper): threads atomically grab the
+// This is the library's equivalent of the paper's `schedule(dynamic, chunk)`
+// with `nowait` (Section 3.3.2): threads atomically grab the
 // next chunk of indices from a global pool via fetch-add, so running
 // threads stay load-balanced and no thread ever waits for another. A
 // crashed or delayed thread simply stops taking chunks; the remainder of

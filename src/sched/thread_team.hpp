@@ -1,5 +1,5 @@
-// A minimal fork-join thread team: the library's replacement for an
-// OpenMP `parallel` region. Each engine makes exactly one run() call (the
+// A minimal fork-join thread team: the library's replacement for the
+// paper's `parallel` region. Each engine makes exactly one run() call (the
 // paper's "top-level parallel block") and synchronizes internally with
 // ChunkCursor / InstrumentedBarrier / flag vectors.
 //

@@ -1,26 +1,23 @@
-// Kernel-equivalence suite for the contribution-cached and weighted-
-// layout pull kernels (PR 2).
+// Kernel-equivalence suite for the contribution-cached pull kernels.
 //
 // Two levels of equivalence, each with a derived bound — no magic 1e-6
 // floors:
 //
-//  * Kernel level: a single pull evaluated through the cached / weighted
-//    kernels must match a long-double evaluation of Equation 1 within an
-//    IEEE-754 rounding envelope derived from the in-degree (each of the
-//    d products contributes <= 1 ulp, the summation <= d ulps, the final
-//    fma <= 2 ulps; everything is scaled by the exact value).
-//  * Engine level: a full solve under either layout must land within the
-//    stopping-rule bounds of error.hpp (syncToleranceBound for the
-//    synchronous BB engines, asyncToleranceBound for the asynchronous LF
-//    engines) of the reference ranks, across alpha/tolerance sweeps and
-//    on dead-end-heavy graphs.
+//  * Kernel level: a single pull evaluated through the cached kernels
+//    must match a long-double evaluation of Equation 1 within an IEEE-754
+//    rounding envelope derived from the in-degree (each of the d products
+//    contributes <= 1 ulp, the summation <= d ulps, the final fma <= 2
+//    ulps; everything is scaled by the exact value).
+//  * Engine level: a full solve must land within the stopping-rule bounds
+//    of error.hpp (syncToleranceBound for the synchronous BB engines,
+//    asyncToleranceBound for the asynchronous LF engines) of the
+//    reference ranks, across alpha/tolerance sweeps.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
 #include "generate/generators.hpp"
-#include "graph/pull_csr.hpp"
 #include "harness/scenario.hpp"
 #include "pagerank/detail/common.hpp"
 #include "pagerank/pagerank.hpp"
@@ -49,7 +46,7 @@ CsrGraph deadEndGraph(int scale, EdgeId edges, std::uint64_t seed) {
 }
 
 /// Equation 1 for one vertex in long double with per-edge division — the
-/// semantics both optimized kernels must reproduce.
+/// semantics the optimized kernels must reproduce.
 double referencePull(const CsrGraph& g, const std::vector<double>& ranks, VertexId v,
                      double alpha, double base) {
   long double sum = 0.0L;
@@ -85,26 +82,8 @@ TEST(KernelEquivalence, CachedKernelMatchesReferencePull) {
   }
 }
 
-TEST(KernelEquivalence, WeightedKernelMatchesCachedKernelExactly) {
-  // Same multiplies in the same order, only gathered from a different
-  // layout — the results must be bitwise identical.
-  const auto g = deadEndGraph(9, 3000, 23);
-  const WeightedPullCsr pull(g);
-  pull.validateAgainst(g);
-  std::vector<double> ranks(g.numVertices());
-  Rng rng(24);
-  for (double& r : ranks) r = rng.uniform();
-  const double base = 0.15 / static_cast<double>(g.numVertices());
-  for (VertexId v = 0; v < g.numVertices(); ++v) {
-    EXPECT_EQ(detail::pullRank(pull, ranks, v, 0.85, base),
-              detail::pullRank(g, ranks, v, 0.85, base))
-        << "vertex " << v;
-  }
-}
-
 TEST(KernelEquivalence, AtomicKernelsMatchPlainKernels) {
   const auto g = rmatGraph(8, 1500, 25);
-  const WeightedPullCsr pull(g);
   std::vector<double> plain(g.numVertices());
   Rng rng(26);
   for (double& r : plain) r = rng.uniform();
@@ -113,8 +92,6 @@ TEST(KernelEquivalence, AtomicKernelsMatchPlainKernels) {
   for (VertexId v = 0; v < g.numVertices(); ++v) {
     EXPECT_EQ(detail::pullRank(g, plain, v, 0.85, base),
               detail::pullRank(g, atomic, v, 0.85, base));
-    EXPECT_EQ(detail::pullRank(pull, plain, v, 0.85, base),
-              detail::pullRank(pull, atomic, v, 0.85, base));
   }
 }
 
@@ -137,16 +114,17 @@ TEST(KernelEquivalence, DeadEndContributionIsNeverRead) {
     EXPECT_TRUE(std::isfinite(detail::pullRank(g, ranks, v, 0.85, base)));
 }
 
-// ----- Engine-level equivalence: layout x alpha x tolerance --------------
+// ----- Engine-level equivalence: alpha x tolerance -----------------------
 
-struct LayoutSweepParam {
+struct AlphaToleranceSweepParam {
   double alpha;
   double tolerance;
 };
 
-class LayoutSweep : public ::testing::TestWithParam<LayoutSweepParam> {};
+class AlphaToleranceSweep
+    : public ::testing::TestWithParam<AlphaToleranceSweepParam> {};
 
-TEST_P(LayoutSweep, BothLayoutsLandWithinDerivedBounds) {
+TEST_P(AlphaToleranceSweep, EnginesLandWithinDerivedBounds) {
   const auto [alpha, tolerance] = GetParam();
   const auto g = rmatGraph(9, 4000, 31);
   const auto ref = referenceRanks(g, alpha);
@@ -154,104 +132,43 @@ TEST_P(LayoutSweep, BothLayoutsLandWithinDerivedBounds) {
   // jitter on the async engines (rollback stores may each inject up to
   // one extra tolerance).
   constexpr double kSlack = 8.0;
-  for (PullLayout layout : {PullLayout::Csr, PullLayout::Weighted}) {
-    PageRankOptions opt;
-    opt.alpha = alpha;
-    opt.tolerance = tolerance;
-    opt.numThreads = 4;
-    opt.chunkSize = 64;
-    opt.pullLayout = layout;
-    const auto bb = staticBB(g, opt);
-    ASSERT_TRUE(bb.converged);
-    EXPECT_LT(linfNorm(bb.ranks, ref), kSlack * syncToleranceBound(tolerance, alpha))
-        << "layout " << static_cast<int>(layout);
-    // The asynchronous engine must land within bounds under both work
-    // schedulers: the dense chunked sweep and the dirty-vertex worklist
-    // with its plain-store publish diet (PR 5).
-    for (SchedulingMode mode :
-         {SchedulingMode::Chunked, SchedulingMode::Worklist}) {
-      opt.scheduling = mode;
-      const auto lf = staticLF(g, opt);
-      ASSERT_TRUE(lf.converged);
-      EXPECT_LT(linfNorm(lf.ranks, ref),
-                kSlack * asyncToleranceBound(tolerance, alpha))
-          << "layout " << static_cast<int>(layout) << " mode "
-          << static_cast<int>(mode);
-    }
+  PageRankOptions opt;
+  opt.alpha = alpha;
+  opt.tolerance = tolerance;
+  opt.numThreads = 4;
+  opt.chunkSize = 64;
+  const auto bb = staticBB(g, opt);
+  ASSERT_TRUE(bb.converged);
+  EXPECT_LT(linfNorm(bb.ranks, ref), kSlack * syncToleranceBound(tolerance, alpha));
+  // The asynchronous engine must land within bounds under both work
+  // schedulers: the dense chunked sweep and the dirty-vertex worklist
+  // with its plain-store publish diet (PR 5).
+  for (SchedulingMode mode : {SchedulingMode::Chunked, SchedulingMode::Worklist}) {
+    opt.scheduling = mode;
+    const auto lf = staticLF(g, opt);
+    ASSERT_TRUE(lf.converged);
+    EXPECT_LT(linfNorm(lf.ranks, ref), kSlack * asyncToleranceBound(tolerance, alpha))
+        << "mode " << static_cast<int>(mode);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AlphaTolerance, LayoutSweep,
-    ::testing::Values(LayoutSweepParam{0.5, 1e-10}, LayoutSweepParam{0.85, 1e-10},
-                      LayoutSweepParam{0.95, 1e-10}, LayoutSweepParam{0.85, 1e-8},
-                      LayoutSweepParam{0.85, 1e-12}),
-    [](const ::testing::TestParamInfo<LayoutSweepParam>& info) {
+    AlphaTolerance, AlphaToleranceSweep,
+    ::testing::Values(AlphaToleranceSweepParam{0.5, 1e-10},
+                      AlphaToleranceSweepParam{0.85, 1e-10},
+                      AlphaToleranceSweepParam{0.95, 1e-10},
+                      AlphaToleranceSweepParam{0.85, 1e-8},
+                      AlphaToleranceSweepParam{0.85, 1e-12}),
+    [](const ::testing::TestParamInfo<AlphaToleranceSweepParam>& info) {
       const int a = static_cast<int>(info.param.alpha * 100);
       const int t = static_cast<int>(-std::log10(info.param.tolerance) + 0.5);
       return "alpha" + std::to_string(a) + "_tol1e" + std::to_string(t);
     });
 
-TEST(KernelEquivalence, WeightedLayoutOnDeadEndHeavyGraph) {
-  const auto g = deadEndGraph(9, 3000, 33);
-  PageRankOptions opt;
-  opt.numThreads = 4;
-  opt.chunkSize = 64;
-  PageRankOptions weighted = opt;
-  weighted.pullLayout = PullLayout::Weighted;
-  const auto a = staticBB(g, opt);
-  const auto b = staticBB(g, weighted);
-  ASSERT_TRUE(a.converged);
-  ASSERT_TRUE(b.converged);
-  // Synchronous Jacobi with bitwise-identical kernels: results match
-  // bitwise regardless of layout.
-  EXPECT_EQ(a.ranks, b.ranks);
-  EXPECT_EQ(a.iterations, b.iterations);
-}
-
-TEST(KernelEquivalence, WeightedLayoutThroughDynamicEngines) {
-  // DF/DT engines thread the layout through marking + iterate; equivalence
-  // is within the async stopping-rule bound of the same engine under the
-  // default layout (both sides also within it of the reference).
-  const VertexId n = 1 << 9;
-  Rng rng(35);
-  auto es = generateRmat(9, 3000, rng);
-  appendSelfLoops(es, n);
-  const auto prev = CsrGraph::fromEdges(n, es);
-  BatchUpdate batch;
-  for (int i = 0; i < 40; ++i) {
-    const auto u = static_cast<VertexId>(rng.uniform() * n);
-    const auto v = static_cast<VertexId>(rng.uniform() * n);
-    const Edge e{std::min<VertexId>(u, n - 1), std::min<VertexId>(v, n - 1)};
-    if (!prev.hasEdge(e.src, e.dst)) batch.insertions.push_back(e);
-  }
-  auto all = prev.edges();
-  all.insert(all.end(), batch.insertions.begin(), batch.insertions.end());
-  const auto curr = CsrGraph::fromEdges(n, all);
-
-  const auto prevRanks = referenceRanks(prev);
-  const auto ref = referenceRanks(curr);
-  PageRankOptions opt;
-  opt.numThreads = 4;
-  opt.chunkSize = 64;
-  PageRankOptions weighted = opt;
-  weighted.pullLayout = PullLayout::Weighted;
-  constexpr double kSlack = 8.0;
-  const double bound = kSlack * asyncToleranceBound(opt.tolerance, opt.alpha);
-  for (auto* fn : {&dfLF, &dtLF}) {
-    const auto a = (*fn)(prev, curr, batch, prevRanks, opt, nullptr);
-    const auto b = (*fn)(prev, curr, batch, prevRanks, weighted, nullptr);
-    ASSERT_TRUE(a.converged);
-    ASSERT_TRUE(b.converged);
-    EXPECT_LT(linfNorm(a.ranks, ref), bound);
-    EXPECT_LT(linfNorm(b.ranks, ref), bound);
-  }
-}
-
 TEST(KernelEquivalence, WorklistSchedulingThroughDynamicEngines) {
-  // Layout x scheduling through the ring-seeded marking phase: the
-  // worklist runs of DF/DT must match the reference within the same
-  // async stopping-rule bound as the dense runs, for both pull layouts.
+  // Scheduling through the ring-seeded marking phase: the worklist runs
+  // of DF/DT must match the reference within the same async
+  // stopping-rule bound as the dense runs.
   const VertexId n = 1 << 9;
   Rng rng(37);
   auto es = generateRmat(9, 3000, rng);
@@ -276,14 +193,10 @@ TEST(KernelEquivalence, WorklistSchedulingThroughDynamicEngines) {
   opt.scheduling = SchedulingMode::Worklist;
   constexpr double kSlack = 8.0;
   const double bound = kSlack * asyncToleranceBound(opt.tolerance, opt.alpha);
-  for (PullLayout layout : {PullLayout::Csr, PullLayout::Weighted}) {
-    opt.pullLayout = layout;
-    for (auto* fn : {&dfLF, &dtLF}) {
-      const auto r = (*fn)(prev, curr, batch, prevRanks, opt, nullptr);
-      ASSERT_TRUE(r.converged) << "layout " << static_cast<int>(layout);
-      EXPECT_LT(linfNorm(r.ranks, ref), bound)
-          << "layout " << static_cast<int>(layout);
-    }
+  for (auto* fn : {&dfLF, &dtLF}) {
+    const auto r = (*fn)(prev, curr, batch, prevRanks, opt, nullptr);
+    ASSERT_TRUE(r.converged);
+    EXPECT_LT(linfNorm(r.ranks, ref), bound);
   }
 }
 
@@ -303,9 +216,8 @@ DynamicScenario deltaPushScenario(std::uint64_t seed, double fraction) {
 TEST(KernelEquivalence, DeltaPushLandsWithinDerivedBounds) {
   // The residual engine's parked mass keeps the converged error within
   // asyncToleranceBound (tau/(1-alpha)), the same certificate the pull
-  // engines report — across both pull layouts (used by the seed phase
-  // only), thread counts, and batch fractions spanning the mid-density
-  // band the engine targets. The batches contain deletions, so negative
+  // engines report — across thread counts and batch fractions spanning
+  // the mid-density band the engine targets. The batches contain deletions, so negative
   // residual mass is exercised too.
   //
   // Slack: 16x instead of the pull tests' 8x. The pull engines' error is
@@ -322,23 +234,19 @@ TEST(KernelEquivalence, DeltaPushLandsWithinDerivedBounds) {
     const auto scenario = deltaPushScenario(seed++, fraction);
     ASSERT_FALSE(scenario.batch.deletions.empty());
     const auto ref = referenceRanks(scenario.curr);
-    for (PullLayout layout : {PullLayout::Csr, PullLayout::Weighted}) {
-      for (const int threads : {1, 4}) {
-        PageRankOptions opt;
-        opt.numThreads = threads;
-        opt.chunkSize = 64;
-        opt.pullLayout = layout;
-        const auto r = deltaPush(scenario.prev, scenario.curr, scenario.batch,
-                                 scenario.prevRanks, opt);
-        ASSERT_TRUE(r.converged)
-            << "layout " << static_cast<int>(layout) << " threads " << threads;
-        EXPECT_LT(linfNorm(r.ranks, ref),
-                  kSlack * asyncToleranceBound(opt.tolerance, opt.alpha))
-            << "layout " << static_cast<int>(layout) << " threads " << threads;
-        // Default (absolute-threshold) certificate.
-        EXPECT_DOUBLE_EQ(r.toleranceBound,
-                         asyncToleranceBound(opt.tolerance, opt.alpha));
-      }
+    for (const int threads : {1, 4}) {
+      PageRankOptions opt;
+      opt.numThreads = threads;
+      opt.chunkSize = 64;
+      const auto r = deltaPush(scenario.prev, scenario.curr, scenario.batch,
+                               scenario.prevRanks, opt);
+      ASSERT_TRUE(r.converged) << "threads " << threads;
+      EXPECT_LT(linfNorm(r.ranks, ref),
+                kSlack * asyncToleranceBound(opt.tolerance, opt.alpha))
+          << "threads " << threads;
+      // Default (absolute-threshold) certificate.
+      EXPECT_DOUBLE_EQ(r.toleranceBound,
+                       asyncToleranceBound(opt.tolerance, opt.alpha));
     }
   }
 }
