@@ -41,7 +41,7 @@ TemporalReplay makeTemporalReplay(const TemporalEdgeListData& data,
 class TemporalReplayStream {
  public:
   /// Opens the log and streams its prefix into the initial graph.
-  /// Throws EdgeLogError on a corrupt log, std::invalid_argument on bad
+  /// Throws FileFormatError on a corrupt log, std::invalid_argument on bad
   /// fractions.
   TemporalReplayStream(std::string logPath, double initialFraction,
                        double batchFraction, std::size_t maxBatches = 0);

@@ -1,14 +1,9 @@
 #include "graph/csr_file.hpp"
 
-#include <cstring>
-#include <filesystem>
 #include <limits>
 #include <memory>
 
-#include <unistd.h>
-
 #include "util/checksum.hpp"
-#include "util/io_retry.hpp"
 
 namespace lfpr {
 
@@ -16,194 +11,114 @@ namespace {
 
 constexpr std::size_t kAlign = 8;
 
-std::uint64_t padded(std::uint64_t bytes) {
-  return (bytes + (kAlign - 1)) & ~static_cast<std::uint64_t>(kAlign - 1);
+/// One adjacency direction: offsets monotone from 0 to m, every endpoint
+/// below n.
+void checkAdjacency(std::span<const EdgeId> offsets, std::span<const VertexId> ends,
+                    const std::string& path, const char* field) {
+  const std::size_t n = offsets.size() - 1;
+  if (offsets[0] != 0 || offsets[n] != ends.size())
+    throw FileFormatError(path, "numEdges",
+                          "offset arrays disagree with the header edge count");
+  for (std::size_t v = 0; v < n; ++v)
+    if (offsets[v] > offsets[v + 1])
+      throw FileFormatError(path, field, "offsets are not monotone");
+  for (const VertexId u : ends)
+    if (u >= n) throw FileFormatError(path, field, "vertex id out of range");
 }
-
-/// Section sizes are pure functions of (n, m); the format has no section
-/// table to corrupt or version-skew independently of the header.
-struct Layout {
-  std::uint64_t outOffsetsBytes, outTargetsBytes, inOffsetsBytes, inSourcesBytes,
-      invOutDegBytes, payloadBytes;
-};
-
-Layout layoutFor(std::uint64_t n, std::uint64_t m) {
-  Layout l{};
-  l.outOffsetsBytes = (n + 1) * sizeof(EdgeId);
-  l.outTargetsBytes = padded(m * sizeof(VertexId));
-  l.inOffsetsBytes = (n + 1) * sizeof(EdgeId);
-  l.inSourcesBytes = padded(m * sizeof(VertexId));
-  l.invOutDegBytes = n * sizeof(double);
-  l.payloadBytes = l.outOffsetsBytes + l.outTargetsBytes + l.inOffsetsBytes +
-                   l.inSourcesBytes + l.invOutDegBytes;
-  return l;
-}
-
-template <typename T>
-std::span<const std::byte> asBytes(std::span<const T> s) {
-  return std::as_bytes(s);
-}
-
-[[noreturn]] void fail(const std::string& path, const std::string& what) {
-  throw CsrFileError("csr snapshot '" + path + "': " + what);
-}
-
-class SectionWriter {
- public:
-  explicit SectionWriter(io::FdFile& out) : out_(out) {}
-
-  template <typename T>
-  void write(std::span<const T> s) {
-    const auto bytes = asBytes(s);
-    out_.write(bytes.data(), bytes.size(), "csr.write");
-    sum_.update(bytes);
-    const std::uint64_t pad = padded(bytes.size()) - bytes.size();
-    if (pad != 0) {
-      static constexpr char zeros[kAlign] = {};
-      out_.write(zeros, pad, "csr.write");
-      sum_.update(std::as_bytes(std::span(zeros, pad)));
-    }
-  }
-
-  [[nodiscard]] std::uint64_t checksum() const { return sum_.value(); }
-
- private:
-  io::FdFile& out_;
-  Checksum64 sum_;
-};
 
 }  // namespace
 
-void writeCsrFile(const std::string& path, const CsrGraph& g) {
-  const std::uint64_t n = g.numVertices();
-  const std::uint64_t m = g.numEdges();
-  const Layout l = layoutFor(n, m);
-
-  CsrFileHeader h{};
-  std::memcpy(h.magic, kCsrFileMagic, sizeof(h.magic));
-  h.version = kCsrFileVersion;
-  h.headerBytes = sizeof(CsrFileHeader);
-  h.numVertices = n;
-  h.numEdges = m;
-  h.payloadBytes = l.payloadBytes;
-
-  // Process-unique scratch name: concurrent writers of the same cache
-  // entry each fill their own tmp and the atomic rename publishes
-  // whichever finishes, never an interleaving of both. On any failure the
-  // scratch is unlinked — a scale-2 snapshot is hundreds of MB, and
-  // orphaned tmp files would pile up in the dataset cache.
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const std::string what = "csr snapshot '" + path + "'";
-  try {
-    {
-      io::FdFile out = io::FdFile::create(tmp, what, "csr.open");
-      // Header first as a placeholder: the checksum is only known after
-      // the payload pass, so it is backpatched (pwrite at offset 0)
-      // before the fsync-then-rename publishes the file.
-      out.write(&h, sizeof(h), "csr.write");
-      SectionWriter w(out);
-      w.write(g.outOffsets());
-      w.write(g.outTargets());
-      w.write(g.inOffsets());
-      w.write(g.inSources());
-      w.write(g.invOutDegrees());
-      h.checksum = w.checksum();
-      out.pwriteAt(&h, sizeof(h), 0, "csr.backpatch");
-      out.sync("csr.fsync");
-      out.close();
-    }
-    io::renameFile(tmp, path, what, "csr.rename");
-    io::fsyncDirectory(std::filesystem::path(path).parent_path().string());
-  } catch (const FailPointAbort&) {
-    // Simulated process death: a real crash would not unlink the tmp —
-    // recovery's stale-tmp sweep owns that cleanup.
-    throw;
-  } catch (const io::IoError& e) {
-    std::error_code ignored;
-    std::filesystem::remove(tmp, ignored);
-    throw CsrFileError("csr snapshot '" + path + "': " + e.what(),
-                       e.errnoValue());
-  } catch (...) {
-    std::error_code ignored;
-    std::filesystem::remove(tmp, ignored);
-    throw;
-  }
+std::uint64_t writeCsrFile(const std::string& path, const CsrGraph& g) {
+  auto h = initHeader<CsrFileHeader>(kCsrFileMagic, kCsrFileVersion);
+  h.numVertices = g.numVertices();
+  h.numEdges = g.numEdges();
+  writeDurably(path, {"csr.open", "csr.fsync", "csr.rename"},
+               [&](io::FdFile& out) {
+                 // Header first as a placeholder: the checksum is only
+                 // known after the payload pass, so it is backpatched
+                 // before the file is published.
+                 out.write(&h, sizeof(h), "csr.write");
+                 Checksum64 sum;
+                 const auto section = [&](const auto values) {
+                   static constexpr char zeros[kAlign] = {};
+                   const auto bytes = std::as_bytes(values);
+                   const std::size_t pad = (kAlign - bytes.size() % kAlign) % kAlign;
+                   for (const auto part : {bytes, std::as_bytes(std::span(zeros, pad))}) {
+                     out.write(part.data(), part.size(), "csr.write");
+                     sum.update(part);
+                     h.payloadBytes += part.size();
+                   }
+                 };
+                 section(g.outOffsets());
+                 section(g.outTargets());
+                 section(g.inOffsets());
+                 section(g.inSources());
+                 section(g.invOutDegrees());
+                 h.checksum = sum.value();
+                 out.pwriteAt(&h, sizeof(h), 0, "csr.backpatch");
+               });
+  return h.checksum;
 }
 
 CsrGraph mapCsrFile(const std::string& path) {
   auto store = std::make_shared<CsrGraph::Storage>();
   store->map = MmapFile::open(path);
   const auto bytes = store->map.bytes();
-
-  if (bytes.size() < sizeof(CsrFileHeader))
-    fail(path, "truncated: " + std::to_string(bytes.size()) +
-                   " bytes is smaller than the header");
-  CsrFileHeader h{};
-  std::memcpy(&h, bytes.data(), sizeof(h));
-  if (std::memcmp(h.magic, kCsrFileMagic, sizeof(h.magic)) != 0)
-    fail(path, "bad magic (not a CSR snapshot file)");
-  if (h.version != kCsrFileVersion)
-    fail(path, "unsupported format version " + std::to_string(h.version) +
-                   " (this build reads version " + std::to_string(kCsrFileVersion) +
-                   ")");
-  if (h.headerBytes != sizeof(CsrFileHeader))
-    fail(path, "header size mismatch");
+  const auto h =
+      readHeader<CsrFileHeader>(bytes, kCsrFileMagic, kCsrFileVersion, path);
   if (h.numVertices > std::numeric_limits<VertexId>::max() - 1)
-    fail(path, "vertex count " + std::to_string(h.numVertices) +
-                   " exceeds the 32-bit vertex id space (supported maximum " +
-                   std::to_string(std::numeric_limits<VertexId>::max() - 1) +
-                   ")");
+    throw FileFormatError(
+        path, "numVertices",
+        "vertex count " + std::to_string(h.numVertices) +
+            " exceeds the 32-bit vertex id space (supported maximum " +
+            std::to_string(std::numeric_limits<VertexId>::max() - 1) + ")");
+  const auto payload = bytes.subspan(sizeof(CsrFileHeader));
 
-  const Layout l = layoutFor(h.numVertices, h.numEdges);
-  if (h.payloadBytes != l.payloadBytes)
-    fail(path, "payload size field disagrees with |V|/|E|");
-  if (bytes.size() != sizeof(CsrFileHeader) + l.payloadBytes)
-    fail(path, "truncated: expected " +
-                   std::to_string(sizeof(CsrFileHeader) + l.payloadBytes) +
-                   " bytes, file has " + std::to_string(bytes.size()));
+  // Section sizes are pure functions of (|V|, |E|); slicing them checks
+  // that the header's counts describe exactly the bytes present. The
+  // mapping is page-aligned and every section a multiple of 8 bytes (an
+  // odd |E| pads its id sections with one zero id), so each view is
+  // aligned for its element type.
+  const std::uint64_t n = h.numVertices;
+  const std::uint64_t m = h.numEdges;
+  BoundedReader r(payload, path);
+  CsrGraph g;
+  g.outOffsets_ = r.view<EdgeId>(n + 1, "numVertices");
+  g.outTargets_ = r.view<VertexId>(m, "numEdges");
+  (void)r.take<VertexId>(m % 2, "numEdges");
+  g.inOffsets_ = r.view<EdgeId>(n + 1, "numVertices");
+  g.inSources_ = r.view<VertexId>(m, "numEdges");
+  (void)r.take<VertexId>(m % 2, "numEdges");
+  g.invOutDeg_ = r.view<double>(n, "numVertices");
+  r.expectEnd("numEdges");
+  if (h.payloadBytes != payload.size())
+    throw FileFormatError(path, "payloadBytes", "disagrees with the file size");
 
   store->map.adviseSequential();
-  const std::span<const std::byte> payload = bytes.subspan(sizeof(CsrFileHeader));
-  if (checksum64(payload) != h.checksum) fail(path, "checksum mismatch (corrupt file)");
+  if (checksum64(payload) != h.checksum)
+    throw FileFormatError(path, "checksum", "checksum mismatch (corrupt file)");
 
-  const std::byte* p = payload.data();
-  const auto n = static_cast<std::size_t>(h.numVertices);
-  const auto m = static_cast<std::size_t>(h.numEdges);
-
-  CsrGraph g;
-  g.outOffsets_ = {reinterpret_cast<const EdgeId*>(p), n + 1};
-  p += l.outOffsetsBytes;
-  g.outTargets_ = {reinterpret_cast<const VertexId*>(p), m};
-  p += l.outTargetsBytes;
-  g.inOffsets_ = {reinterpret_cast<const EdgeId*>(p), n + 1};
-  p += l.inOffsetsBytes;
-  g.inSources_ = {reinterpret_cast<const VertexId*>(p), m};
-  p += l.inSourcesBytes;
-  g.invOutDeg_ = {reinterpret_cast<const double*>(p), n};
-
-  // Cheap header-vs-content coherence checks (full structural validation
-  // is validate(), O(m log d) — callers opt in).
-  if (n != 0 && (g.outOffsets_[0] != 0 || g.outOffsets_[n] != m ||
-                 g.inOffsets_[0] != 0 || g.inOffsets_[n] != m))
-    fail(path, "offset arrays disagree with the header edge count");
+  // The checksum misses some multi-bit corruptions: FNV-1a over words
+  // never carries a difference into lower bits, so flips confined to the
+  // top bits of words can cancel. These O(n + m) checks turn every such
+  // survivor that would index out of bounds into a named error (full
+  // structural validation is validate(), O(m log d) — callers opt in).
+  checkAdjacency(g.outOffsets_, g.outTargets_, path, "outTargets");
+  checkAdjacency(g.inOffsets_, g.inSources_, path, "inSources");
+  for (std::size_t u = 0; u < n; ++u) {
+    const EdgeId d = g.outOffsets_[u + 1] - g.outOffsets_[u];
+    if (g.invOutDeg_[u] != (d > 0 ? 1.0 / static_cast<double>(d) : 0.0))
+      throw FileFormatError(path, "invOutDeg", "disagrees with the out degrees");
+  }
 
   g.store_ = std::move(store);
   return g;
 }
 
 std::uint64_t csrFileChecksum(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr)
-    fail(path, std::string("cannot open: ") + std::strerror(errno));
-  CsrFileHeader h{};
-  const std::size_t got = std::fread(&h, 1, sizeof(h), f);
-  std::fclose(f);
-  if (got != sizeof(h)) fail(path, "truncated: file is smaller than the header");
-  if (std::memcmp(h.magic, kCsrFileMagic, sizeof(h.magic)) != 0)
-    fail(path, "bad magic (not a CSR snapshot file)");
-  if (h.version != kCsrFileVersion)
-    fail(path, "unsupported format version " + std::to_string(h.version));
-  return h.checksum;
+  return readHeader<CsrFileHeader>(MmapFile::open(path).bytes(), kCsrFileMagic,
+                                   kCsrFileVersion, path)
+      .checksum;
 }
 
 CsrGraph readCsrFile(const std::string& path) {

@@ -14,17 +14,15 @@
 // is consumed zero-copy: mapCsrFile() returns a CsrGraph whose spans
 // point into the mapping (shared, immutable, mutex-free — the pull
 // kernels and engines read it exactly like an in-process snapshot).
-// Every load verifies magic, version, size arithmetic and the payload
-// checksum, and rejects corrupt files with a CsrFileError naming the
-// path and the failure.
+// Framing (durable write, header check, bounded section slicing,
+// FileFormatError) is util/framed_file.hpp's.
 #pragma once
 
-#include <cerrno>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
 #include "graph/csr.hpp"
+#include "util/framed_file.hpp"
 
 namespace lfpr {
 
@@ -42,33 +40,16 @@ struct CsrFileHeader {
 };
 static_assert(sizeof(CsrFileHeader) == 48, "header layout is part of the format");
 
-class CsrFileError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-  CsrFileError(const std::string& what, int err)
-      : std::runtime_error(what), errno_(err) {}
-
-  /// errno of the underlying syscall failure, 0 for format errors.
-  [[nodiscard]] int errnoValue() const noexcept { return errno_; }
-  [[nodiscard]] bool diskFull() const noexcept { return errno_ == ENOSPC; }
-
- private:
-  int errno_ = 0;
-};
-
-/// Serialize a snapshot. Writes to `path` + ".tmp" then fsyncs and
-/// renames, so a crashed writer never leaves a plausible-looking partial
-/// snapshot behind. Transient write failures (EINTR/EAGAIN, short
-/// writes) are retried with bounded backoff; permanent ones throw
-/// CsrFileError (wrapping the errno text — disk-full is detectable by
-/// callers via the nested io::IoError where they need to degrade rather
-/// than fail).
-void writeCsrFile(const std::string& path, const CsrGraph& g);
+/// Serialize a snapshot through writeDurably, so a crashed writer never
+/// leaves a plausible-looking partial snapshot behind, and return the
+/// payload checksum it recorded. Syscall failures throw io::IoError
+/// (diskFull() tells callers to degrade rather than fail).
+std::uint64_t writeCsrFile(const std::string& path, const CsrGraph& g);
 
 /// Zero-copy load: validate the file, then return a CsrGraph borrowing
 /// the mapping (kept alive by the graph's shared storage). Throws
-/// CsrFileError on bad magic, unsupported version, truncation/size
-/// mismatch, or checksum mismatch.
+/// FileFormatError on bad magic, unsupported version, a section that
+/// overflows or overruns the file, trailing bytes, or checksum mismatch.
 CsrGraph mapCsrFile(const std::string& path);
 
 /// Owned load: like mapCsrFile but copies the arrays into process-owned

@@ -1,60 +1,23 @@
 #include "graph/edge_log.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <filesystem>
 #include <limits>
 #include <unordered_set>
 #include <vector>
 
-#include <unistd.h>
-
 #include "util/checksum.hpp"
-#include "util/io_retry.hpp"
 
 namespace lfpr {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& path, const std::string& what) {
-  throw EdgeLogError("edge log '" + path + "': " + what);
-}
-
-EdgeLogHeader readAndCheckHeader(std::ifstream& is, const std::string& path) {
-  EdgeLogHeader h{};
-  is.read(reinterpret_cast<char*>(&h), sizeof(h));
-  if (is.gcount() != sizeof(h))
-    fail(path, "truncated: file is smaller than the header");
-  if (std::memcmp(h.magic, kEdgeLogMagic, sizeof(h.magic)) != 0)
-    fail(path, "bad magic (not a temporal edge log)");
-  if (h.version != kEdgeLogVersion)
-    fail(path, "unsupported format version " + std::to_string(h.version) +
-                   " (this build reads version " + std::to_string(kEdgeLogVersion) +
-                   ")");
-  if (h.headerBytes != sizeof(EdgeLogHeader)) fail(path, "header size mismatch");
-  if (h.numVertices > std::numeric_limits<VertexId>::max() - 1)
-    fail(path, "vertex count " + std::to_string(h.numVertices) +
-                   " exceeds the 32-bit vertex id space (supported maximum " +
-                   std::to_string(std::numeric_limits<VertexId>::max() - 1) +
-                   ")");
-  if (h.payloadBytes != h.numEdges * sizeof(TemporalEdge))
-    fail(path, "payload size field disagrees with the record count");
-  return h;
-}
-
-std::uintmax_t fileSizeOrFail(const std::string& path) {
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (ec) fail(path, "cannot stat: " + ec.message());
-  return size;
-}
-
-void checkFileSize(const EdgeLogHeader& h, const std::string& path) {
-  const auto size = fileSizeOrFail(path);
-  const auto expected = sizeof(EdgeLogHeader) + h.payloadBytes;
-  if (size != expected)
-    fail(path, "truncated: expected " + std::to_string(expected) +
-                   " bytes, file has " + std::to_string(size));
+void checkEndpoints(std::span<const TemporalEdge> records, VertexId n,
+                    const std::string& path) {
+  for (const TemporalEdge& e : records)
+    if (e.src >= n || e.dst >= n)
+      throw FileFormatError(path, "records",
+                            "edge endpoint out of range of the header's " +
+                                std::to_string(n) + " vertices");
 }
 
 }  // namespace
@@ -76,133 +39,85 @@ void writeTemporalEdgeLog(const std::string& path, const TemporalEdgeListData& d
     numStatic = distinct.size();
   }
 
-  EdgeLogHeader h{};
-  std::memcpy(h.magic, kEdgeLogMagic, sizeof(h.magic));
-  h.version = kEdgeLogVersion;
-  h.headerBytes = sizeof(EdgeLogHeader);
+  auto h = initHeader<EdgeLogHeader>(kEdgeLogMagic, kEdgeLogVersion);
   h.numVertices = data.numVertices;
   h.numEdges = stream.size();
   h.numStaticEdges = numStatic;
   h.payloadBytes = stream.size() * sizeof(TemporalEdge);
   h.checksum = checksum64(std::as_bytes(std::span(stream)));
-
-  // Process-unique scratch, unlinked on failure (see writeCsrFile):
-  // concurrent writers never interleave into one tmp, failed writes
-  // never orphan one. Transient errors retry in io::writeFully; a
-  // fail-point kill leaves the tmp for the recovery sweep, like a real
-  // crash would.
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const std::string what = "edge log '" + path + "'";
-  try {
-    {
-      io::FdFile out = io::FdFile::create(tmp, what, "elog.open");
-      out.write(&h, sizeof(h), "elog.write");
-      if (h.payloadBytes != 0)
-        out.write(stream.data(), h.payloadBytes, "elog.write");
-      out.sync("elog.fsync");
-      out.close();
-    }
-    io::renameFile(tmp, path, what, "elog.rename");
-    io::fsyncDirectory(std::filesystem::path(path).parent_path().string());
-  } catch (const FailPointAbort&) {
-    throw;
-  } catch (const io::IoError& e) {
-    std::error_code ignored;
-    std::filesystem::remove(tmp, ignored);
-    fail(path, e.what());
-  } catch (...) {
-    std::error_code ignored;
-    std::filesystem::remove(tmp, ignored);
-    throw;
-  }
+  writeDurably(path, {"elog.open", "elog.fsync", "elog.rename"},
+               [&](io::FdFile& out) {
+                 out.write(&h, sizeof(h), "elog.write");
+                 out.write(stream.data(), h.payloadBytes, "elog.write");
+               });
 }
 
 TemporalEdgeListData readTemporalEdgeLog(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) fail(path, "cannot open");
-  const EdgeLogHeader h = readAndCheckHeader(is, path);
-  checkFileSize(h, path);
-
-  TemporalEdgeListData data;
-  data.numVertices = static_cast<VertexId>(h.numVertices);
-  data.edges.resize(h.numEdges);
-  is.read(reinterpret_cast<char*>(data.edges.data()),
-          static_cast<std::streamsize>(h.payloadBytes));
-  if (static_cast<std::uint64_t>(is.gcount()) != h.payloadBytes)
-    fail(path, "truncated while reading records");
-  if (checksum64(std::as_bytes(std::span(data.edges))) != h.checksum)
-    fail(path, "checksum mismatch (corrupt file)");
-  return data;
+  const TemporalEdgeLogReader log(path);
+  log.verify();
+  return {log.numVertices(), {log.records_.begin(), log.records_.end()}};
 }
 
-void verifyTemporalEdgeLog(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) fail(path, "cannot open");
-  const EdgeLogHeader h = readAndCheckHeader(is, path);
-  checkFileSize(h, path);
-
-  Checksum64 sum;
-  std::vector<std::byte> buf(std::size_t{1} << 20);
-  std::uint64_t remaining = h.payloadBytes;
-  while (remaining > 0) {
-    const auto chunk = static_cast<std::streamsize>(
-        std::min<std::uint64_t>(remaining, buf.size()));
-    is.read(reinterpret_cast<char*>(buf.data()), chunk);
-    if (is.gcount() != chunk) fail(path, "truncated while reading records");
-    sum.update(std::span(buf.data(), static_cast<std::size_t>(chunk)));
-    remaining -= static_cast<std::uint64_t>(chunk);
-  }
-  if (sum.value() != h.checksum) fail(path, "checksum mismatch (corrupt file)");
-}
+void verifyTemporalEdgeLog(const std::string& path) { TemporalEdgeLogReader(path).verify(); }
 
 TemporalEdgeLogReader::TemporalEdgeLogReader(const std::string& path,
                                              LogTailPolicy tail)
-    : is_(path, std::ios::binary), path_(path) {
-  if (!is_) fail(path, "cannot open");
-  const EdgeLogHeader h = readAndCheckHeader(is_, path);
+    : map_(MmapFile::open(path)), path_(path) {
+  const auto bytes = map_.bytes();
+  const auto h = readHeader<EdgeLogHeader>(bytes, kEdgeLogMagic, kEdgeLogVersion, path);
+  if (h.numVertices > std::numeric_limits<VertexId>::max() - 1)
+    throw FileFormatError(
+        path, "numVertices",
+        "vertex count " + std::to_string(h.numVertices) +
+            " exceeds the 32-bit vertex id space (supported maximum " +
+            std::to_string(std::numeric_limits<VertexId>::max() - 1) + ")");
+  if (h.numStaticEdges > h.numEdges)
+    throw FileFormatError(path, "numStaticEdges",
+                          "distinct edge count exceeds the record count");
+  // Divide rather than multiply: a forged count cannot wrap.
+  if (h.payloadBytes % sizeof(TemporalEdge) != 0 ||
+      h.payloadBytes / sizeof(TemporalEdge) != h.numEdges)
+    throw FileFormatError(path, "numEdges",
+                          "record count disagrees with the payload size field");
   numVertices_ = static_cast<VertexId>(h.numVertices);
-  numEdges_ = h.numEdges;
   numStaticEdges_ = h.numStaticEdges;
-  if (tail == LogTailPolicy::Strict) {
-    checkFileSize(h, path);
-    return;
-  }
-  // QuarantineTorn: clamp to the last complete record instead of
-  // rejecting a short file — a crashed appender's torn final write is
-  // clean EOF, not corruption. Oversize stays a hard error (see hpp).
-  const auto size = fileSizeOrFail(path);
-  const auto expected = sizeof(EdgeLogHeader) + h.payloadBytes;
-  if (size > expected)
-    fail(path, "oversize: expected " + std::to_string(expected) +
-                   " bytes, file has " + std::to_string(size));
-  if (size < expected) {
-    const std::uint64_t payloadAvail =
-        size > sizeof(EdgeLogHeader) ? size - sizeof(EdgeLogHeader) : 0;
-    numEdges_ = payloadAvail / sizeof(TemporalEdge);
+  checksum_ = h.checksum;
+
+  const auto payload = bytes.subspan(sizeof(EdgeLogHeader));
+  std::uint64_t count = h.numEdges;
+  if (payload.size() != h.payloadBytes) {
+    const std::string sizes = ": expected " + std::to_string(h.payloadBytes) +
+                              " payload bytes, file has " +
+                              std::to_string(payload.size());
+    if (payload.size() > h.payloadBytes)
+      throw FileFormatError(path, "numEdges", "oversize" + sizes);
+    if (tail == LogTailPolicy::Strict)
+      throw FileFormatError(path, "numEdges", "truncated" + sizes);
+    // QuarantineTorn: a crashed appender's torn final write is clean
+    // EOF, not corruption — clamp to the last complete record.
+    count = payload.size() / sizeof(TemporalEdge);
+    quarantinedBytes_ = payload.size() % sizeof(TemporalEdge);
     tornTail_ = true;
-    // The torn bytes physically present past the last whole record.
-    quarantinedBytes_ = payloadAvail % sizeof(TemporalEdge);
   }
+  records_ = BoundedReader(payload, path).view<TemporalEdge>(count, "numEdges");
 }
 
-void TemporalEdgeLogReader::seek(EdgeId index) {
-  pos_ = std::min(index, numEdges_);
-  is_.clear();
-  is_.seekg(static_cast<std::streamoff>(sizeof(EdgeLogHeader) +
-                                        pos_ * sizeof(TemporalEdge)));
+void TemporalEdgeLogReader::verify() const {
+  map_.adviseSequential();
+  if (checksum64(std::as_bytes(records_)) != checksum_)
+    throw FileFormatError(path_, "checksum", "checksum mismatch (corrupt file)");
+  checkEndpoints(records_, numVertices_, path_);
 }
+
+void TemporalEdgeLogReader::seek(EdgeId index) { pos_ = std::min(index, numEdges()); }
 
 std::size_t TemporalEdgeLogReader::read(std::span<TemporalEdge> out) {
-  const EdgeId left = numEdges_ - pos_;
-  const std::size_t want =
-      static_cast<std::size_t>(std::min<EdgeId>(left, out.size()));
-  if (want == 0) return 0;
-  is_.read(reinterpret_cast<char*>(out.data()),
-           static_cast<std::streamsize>(want * sizeof(TemporalEdge)));
-  if (static_cast<std::uint64_t>(is_.gcount()) != want * sizeof(TemporalEdge))
-    fail(path_, "truncated while reading records");
-  pos_ += want;
-  return want;
+  const auto chunk = records_.subspan(
+      pos_, static_cast<std::size_t>(std::min<EdgeId>(numEdges() - pos_, out.size())));
+  checkEndpoints(chunk, numVertices_, path_);
+  std::copy(chunk.begin(), chunk.end(), out.begin());
+  pos_ += chunk.size();
+  return chunk.size();
 }
 
 }  // namespace lfpr

@@ -10,20 +10,23 @@
 //                   stable-sorted by timestamp at write time
 //
 // Records are stored replay-ready (time-sorted), so a reader streams
-// fixed-size chunks straight into batch construction with memory bounded
-// by the chunk size — logs far larger than RAM replay fine. The distinct
-// edge count is computed once at write time and carried in the header
-// (recomputing it needs a hash set proportional to |E|).
+// fixed-size chunks off a read-only mapping straight into batch
+// construction: private memory is bounded by the chunk size and the
+// mapped pages are evictable page cache — logs far larger than RAM
+// replay fine. The distinct edge count is computed once at write time
+// and carried in the header (recomputing it needs a hash set
+// proportional to |E|). Framing (durable write, header check, bounded
+// record slicing, FileFormatError) is util/framed_file.hpp's.
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <span>
-#include <stdexcept>
 #include <string>
 
 #include "graph/io.hpp"
 #include "graph/types.hpp"
+#include "util/framed_file.hpp"
+#include "util/mmap_file.hpp"
 
 namespace lfpr {
 
@@ -43,26 +46,22 @@ struct EdgeLogHeader {
 static_assert(sizeof(EdgeLogHeader) == 56, "header layout is part of the format");
 static_assert(sizeof(TemporalEdge) == 16, "record layout is part of the format");
 
-class EdgeLogError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 /// Serialize a temporal stream, stable-sorted by timestamp (the replay
-/// protocol's order). Writes `path` + ".tmp" then renames. Throws
-/// EdgeLogError on I/O failure.
+/// protocol's order), through writeDurably. Throws io::IoError on I/O
+/// failure.
 void writeTemporalEdgeLog(const std::string& path, const TemporalEdgeListData& data);
 
 /// Full in-memory read with checksum verification (tests, small logs).
 TemporalEdgeListData readTemporalEdgeLog(const std::string& path);
 
 /// Checksum pass over the records without materializing them. Throws
-/// EdgeLogError on any corruption.
+/// FileFormatError on any corruption. Every loader also rejects a record
+/// whose endpoint is not below the header's vertex count.
 void verifyTemporalEdgeLog(const std::string& path);
 
 /// How a reader treats a file shorter than its header promises.
 ///
-///   Strict          any size mismatch is a hard EdgeLogError — the
+///   Strict          any size mismatch is a hard FileFormatError — the
 ///                   dataset-cache contract (a cache entry was written
 ///                   in full or it is garbage);
 ///   QuarantineTorn  a *shorter* file is read up to the last complete
@@ -83,7 +82,7 @@ class TemporalEdgeLogReader {
                                  LogTailPolicy tail = LogTailPolicy::Strict);
 
   [[nodiscard]] VertexId numVertices() const noexcept { return numVertices_; }
-  [[nodiscard]] EdgeId numEdges() const noexcept { return numEdges_; }
+  [[nodiscard]] EdgeId numEdges() const noexcept { return records_.size(); }
   [[nodiscard]] EdgeId numStaticEdges() const noexcept { return numStaticEdges_; }
 
   /// QuarantineTorn only: true when the file ended before the header's
@@ -103,11 +102,18 @@ class TemporalEdgeLogReader {
   std::size_t read(std::span<TemporalEdge> out);
 
  private:
-  std::ifstream is_;
+  friend TemporalEdgeListData readTemporalEdgeLog(const std::string& path);
+  friend void verifyTemporalEdgeLog(const std::string& path);
+
+  /// Checksum and endpoint pass over every record.
+  void verify() const;
+
+  MmapFile map_;
+  std::span<const TemporalEdge> records_;  // the complete records present
   std::string path_;
   VertexId numVertices_ = 0;
-  EdgeId numEdges_ = 0;
   EdgeId numStaticEdges_ = 0;
+  std::uint64_t checksum_ = 0;
   EdgeId pos_ = 0;
   bool tornTail_ = false;
   std::uint64_t quarantinedBytes_ = 0;

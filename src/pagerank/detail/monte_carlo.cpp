@@ -48,6 +48,7 @@
 #include "sched/chunk_cursor.hpp"
 #include "sched/thread_team.hpp"
 #include "sched/work_ring.hpp"
+#include "util/framed_file.hpp"
 #include "util/timer.hpp"
 
 namespace lfpr::detail {
@@ -441,60 +442,6 @@ void blobPutOne(std::vector<std::byte>& blob, T value) {
   blobPut(blob, &value, 1);
 }
 
-/// Bounds-checked sequential reader over a serialized blob.
-class BlobReader {
- public:
-  BlobReader(std::span<const std::byte> blob, const char* what)
-      : blob_(blob), what_(what) {}
-
-  template <typename T>
-  void read(T* out, std::size_t count) {
-    const std::size_t bytes = count * sizeof(T);
-    if (blob_.size() - pos_ < bytes)
-      throw std::runtime_error(std::string(what_) + ": blob truncated");
-    std::memcpy(out, blob_.data() + pos_, bytes);
-    pos_ += bytes;
-  }
-
-  template <typename T>
-  [[nodiscard]] T readOne() {
-    T v{};
-    read(&v, 1);
-    return v;
-  }
-
-  /// Move `count` elements into `out` with a single copy — the
-  /// aligned fast path inserts straight from the blob, skipping the
-  /// zero-fill a resize-then-read would pay on multi-megabyte arrays.
-  template <typename T>
-  void readVector(std::vector<T>& out, std::size_t count) {
-    const std::size_t bytes = count * sizeof(T);
-    if (blob_.size() - pos_ < bytes)
-      throw std::runtime_error(std::string(what_) + ": blob truncated");
-    const std::byte* p = blob_.data() + pos_;
-    pos_ += bytes;
-    out.clear();
-    if (reinterpret_cast<std::uintptr_t>(p) % alignof(T) == 0) {
-      const T* first = reinterpret_cast<const T*>(p);
-      out.insert(out.end(), first, first + count);
-    } else {
-      out.resize(count);
-      std::memcpy(out.data(), p, bytes);
-    }
-  }
-
-  void expectExhausted() const {
-    if (pos_ != blob_.size())
-      throw std::runtime_error(std::string(what_) +
-                               ": blob has trailing bytes");
-  }
-
- private:
-  std::span<const std::byte> blob_;
-  const char* what_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 WalkStoreImage mcSerializeStore(const MonteCarloState& st) {
@@ -527,22 +474,24 @@ WalkStoreImage mcSerializeStore(const MonteCarloState& st) {
 
 std::unique_ptr<MonteCarloState> mcDeserializeStore(
     const WalkStoreImageView& img, int numThreads) {
+  // Bound the walk count by the bytes present before the store is sized
+  // from it: each walk stores a u16 length and at least its root.
+  const auto perRoot = static_cast<std::uint64_t>(std::max(img.cfg.walksPerVertex, 0));
+  if (img.numWalks > img.segments.size() / (sizeof(std::uint16_t) + sizeof(VertexId)) ||
+      img.numWalks != img.numVertices * perRoot)
+    throw std::runtime_error(
+        "walk image: numWalks disagrees with n * walksPerVertex or the segment blob");
   // The constructor re-validates the config and the 32-bit walk-id
   // ceiling; anything it rejects, a tampered image cannot smuggle in.
   auto st = std::make_unique<MonteCarloState>(
       static_cast<std::size_t>(img.numVertices), img.cfg);
-  if (img.numWalks != st->numWalks)
-    throw std::runtime_error(
-        "walk image: numWalks disagrees with n * walksPerVertex");
   st->epoch = img.epoch;
 
   // Serial prologue: the len array fixes every walk's byte range, so one
   // prefix sum turns the packed segment blob into random-access slices
   // and the copy/validate/recount pass parallelizes over walk ranges.
-  const std::size_t lenBytes = st->numWalks * sizeof(std::uint16_t);
-  if (img.segments.size() < lenBytes)
-    throw std::runtime_error("walk image segments: blob truncated");
-  std::memcpy(st->len.data(), img.segments.data(), lenBytes);
+  BoundedReader seg(img.segments, "walk image segments");
+  seg.readVector(st->len, st->numWalks, "len");
   std::vector<std::uint64_t> walkStart(st->numWalks + 1, 0);
   for (std::uint32_t w = 0; w < st->numWalks; ++w) {
     const std::size_t len = st->len[w];
@@ -550,13 +499,11 @@ std::unique_ptr<MonteCarloState> mcDeserializeStore(
       throw std::runtime_error("walk image: walk length out of [1, stride]");
     walkStart[w + 1] = walkStart[w] + len;
   }
-  if (img.segments.size() !=
-      lenBytes + walkStart[st->numWalks] * sizeof(VertexId))
-    throw std::runtime_error(
-        "walk image segments: blob size disagrees with the walk lengths");
   // Byte-offset addressing: the packed vertex region need not be
   // VertexId-aligned inside an mmapped sidecar, so slices are memcpy'd.
-  const std::byte* packed = img.segments.data() + lenBytes;
+  const std::byte* packed =
+      seg.take<VertexId>(walkStart[st->numWalks], "verts").data();
+  seg.expectEnd("verts");
 
   // The pass is memory-bound with no latency to hide, so oversubscribing
   // a small host only adds spawn and cache churn — cap the requested
@@ -621,9 +568,9 @@ std::unique_ptr<MonteCarloState> mcDeserializeStore(
     });
   };
 
-  BlobReader idx(img.visitIndex, "walk image visit index");
-  const auto indexCount = idx.readOne<std::uint64_t>();
-  idx.read(st->indexOffsets.data(), st->n + 1);
+  BoundedReader idx(img.visitIndex, "walk image visit index");
+  const auto indexCount = idx.readOne<std::uint64_t>("indexCount");
+  idx.readVector(st->indexOffsets, st->n + 1, "indexOffsets");
   if (st->indexOffsets[0] != 0 || st->indexOffsets[st->n] != indexCount)
     throw std::runtime_error("walk image: index offsets inconsistent");
   parallelScan(st->n, [&](std::size_t b, std::size_t e) {
@@ -631,17 +578,17 @@ std::unique_ptr<MonteCarloState> mcDeserializeStore(
       if (st->indexOffsets[v] > st->indexOffsets[v + 1])
         throw std::runtime_error("walk image: index offsets not monotonic");
   });
-  idx.readVector(st->indexWalks, static_cast<std::size_t>(indexCount));
+  idx.readVector(st->indexWalks, indexCount, "indexWalks");
   parallelScan(st->indexWalks.size(), [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i)
       if (st->indexWalks[i] >= st->numWalks)
         throw std::runtime_error("walk image: index walk id out of range");
   });
-  const auto deltaCount = idx.readOne<std::uint64_t>();
-  idx.read(st->deltaHead.data(), st->n);
-  idx.readVector(st->deltaWalk, static_cast<std::size_t>(deltaCount));
-  idx.readVector(st->deltaNext, static_cast<std::size_t>(deltaCount));
-  idx.expectExhausted();
+  const auto deltaCount = idx.readOne<std::uint64_t>("deltaCount");
+  idx.readVector(st->deltaHead, st->n, "deltaHead");
+  idx.readVector(st->deltaWalk, deltaCount, "deltaWalk");
+  idx.readVector(st->deltaNext, deltaCount, "deltaNext");
+  idx.expectEnd("deltaNext");
   const auto validDeltaRef = [&](std::uint32_t e) {
     return e == MonteCarloState::kNoDelta || e < deltaCount;
   };

@@ -1,10 +1,7 @@
 #include "service/checkpoint.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <span>
 #include <string_view>
@@ -12,7 +9,7 @@
 #include "graph/csr_file.hpp"
 #include "util/checksum.hpp"
 #include "util/failpoint.hpp"
-#include "util/io_retry.hpp"
+#include "util/framed_file.hpp"
 #include "util/mmap_file.hpp"
 
 namespace lfpr {
@@ -65,17 +62,13 @@ std::optional<std::uint64_t> ckptSetEpoch(const fs::path& p) {
   return std::nullopt;
 }
 
-/// Write the walk sidecar for `meta`'s checkpoint, tmp-then-rename.
-/// Runs between the csr rename and the meta rename: a crash here leaves
-/// at worst an orphan sidecar (or its tmp) that the next checkpoint's
-/// prune / sweep removes — the meta that would have announced it never
-/// landed.
+/// Write the walk sidecar for `meta`'s checkpoint. Runs between the csr
+/// rename and the meta rename: a crash here leaves at worst an orphan
+/// sidecar (or its tmp) that the next checkpoint's prune / sweep removes
+/// — the meta that would have announced it never landed.
 void writeWalkSidecar(const std::string& path, const CheckpointHeader& meta,
                       const detail::WalkStoreImage& img) {
-  WalkSidecarHeader h{};
-  std::memcpy(h.magic, kWalkSidecarMagic, sizeof(h.magic));
-  h.version = kWalkSidecarVersion;
-  h.headerBytes = sizeof(WalkSidecarHeader);
+  auto h = initHeader<WalkSidecarHeader>(kWalkSidecarMagic, kWalkSidecarVersion);
   h.epoch = meta.epoch;
   h.mcEpoch = img.epoch;
   h.seed = img.cfg.seed;
@@ -93,57 +86,46 @@ void writeWalkSidecar(const std::string& path, const CheckpointHeader& meta,
   sum.update(img.segments);
   sum.update(img.visitIndex);
   h.checksum = sum.value();
-
-  const std::string what = "walk sidecar '" + path + "'";
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  {
-    io::FdFile out = io::FdFile::create(tmp, what, "ckpt.walks.open");
-    out.write(&h, sizeof(h), "ckpt.walks.write");
-    if (!img.segments.empty())
-      out.write(img.segments.data(), img.segments.size(), "ckpt.walks.write");
-    if (!img.visitIndex.empty())
-      out.write(img.visitIndex.data(), img.visitIndex.size(),
-                "ckpt.walks.write");
-    out.sync("ckpt.walks.fsync");
-    out.close();
-  }
-  io::renameFile(tmp, path, what, "ckpt.walks.rename");
+  writeDurably(path,
+               {"ckpt.walks.open", "ckpt.walks.fsync", "ckpt.walks.rename"},
+               [&](io::FdFile& out) {
+                 out.write(&h, sizeof(h), "ckpt.walks.write");
+                 out.write(img.segments.data(), img.segments.size(), "ckpt.walks.write");
+                 out.write(img.visitIndex.data(), img.visitIndex.size(),
+                           "ckpt.walks.write");
+               });
 }
 
 /// Verify and deserialize the walk sidecar of a checkpoint whose meta
-/// header is `meta`. Throws on the first failed check — the caller
-/// quarantines.
+/// header is `meta`. Throws FileFormatError on the first failed check —
+/// the caller quarantines.
 std::unique_ptr<detail::MonteCarloState> loadWalkSidecar(
     const std::string& path, const CheckpointHeader& meta, int numThreads) {
   const MmapFile map = MmapFile::open(path);
   const auto bytes = map.bytes();
-  WalkSidecarHeader h{};
-  if (bytes.size() < sizeof(h))
-    throw CheckpointError("truncated: smaller than the header");
-  std::memcpy(&h, bytes.data(), sizeof(h));
-  if (std::memcmp(h.magic, kWalkSidecarMagic, sizeof(h.magic)) != 0)
-    throw CheckpointError("bad magic");
-  if (h.version != kWalkSidecarVersion)
-    throw CheckpointError("unsupported version " + std::to_string(h.version));
-  if (h.headerBytes != sizeof(WalkSidecarHeader))
-    throw CheckpointError("header size mismatch");
+  const auto h = readHeader<WalkSidecarHeader>(bytes, kWalkSidecarMagic,
+                                               kWalkSidecarVersion, path);
   if (h.epoch != meta.epoch)
-    throw CheckpointError("epoch field disagrees with the meta");
+    throw FileFormatError(path, "epoch", "disagrees with the meta");
   if (h.metaChecksum != meta.checksum || h.csrChecksum != meta.csrChecksum)
-    throw CheckpointError("sidecar does not bind to this .meta/.csr pair");
+    throw FileFormatError(path, "metaChecksum",
+                          "sidecar does not bind to this .meta/.csr pair");
   if (h.walkIdBits != 32)
-    throw CheckpointError("unsupported walk-id width " +
-                          std::to_string(h.walkIdBits));
+    throw FileFormatError(path, "walkIdBits",
+                          "unsupported walk-id width " + std::to_string(h.walkIdBits));
   if (h.numVertices != meta.numVertices)
-    throw CheckpointError("vertex count disagrees with the meta");
-  if (bytes.size() != sizeof(h) + h.segmentBytes + h.indexBytes)
-    throw CheckpointError("payload size mismatch");
-  if (checksum64(bytes.subspan(sizeof(h))) != h.checksum)
-    throw CheckpointError("payload checksum mismatch");
-
+    throw FileFormatError(path, "numVertices", "disagrees with the meta");
+  const auto payload = bytes.subspan(sizeof(h));
+  BoundedReader r(payload, path);
   // A non-owning view straight off the mmap: the blobs are copied once,
   // into the resident store, never staged through owning vectors.
   detail::WalkStoreImageView img;
+  img.segments = r.take<std::byte>(h.segmentBytes, "segmentBytes");
+  img.visitIndex = r.take<std::byte>(h.indexBytes, "indexBytes");
+  r.expectEnd("indexBytes");
+  if (checksum64(payload) != h.checksum)
+    throw FileFormatError(path, "checksum", "payload checksum mismatch");
+
   img.cfg.walksPerVertex = static_cast<int>(h.walksPerVertex);
   img.cfg.maxWalkLength = static_cast<int>(h.maxWalkLength);
   img.cfg.seed = h.seed;
@@ -151,11 +133,15 @@ std::unique_ptr<detail::MonteCarloState> loadWalkSidecar(
   img.numVertices = h.numVertices;
   img.numWalks = h.numWalks;
   img.epoch = h.mcEpoch;
-  img.segments = bytes.subspan(sizeof(h), h.segmentBytes);
-  img.visitIndex = bytes.subspan(sizeof(h) + h.segmentBytes, h.indexBytes);
   // Full structural validation (lengths, vertex ids, index bounds)
   // happens here — "loads" means "safe to resume repairs on".
-  return detail::mcDeserializeStore(img, numThreads);
+  try {
+    return detail::mcDeserializeStore(img, numThreads);
+  } catch (const std::runtime_error& e) {
+    throw FileFormatError(path, "walk store", e.what());
+  } catch (const std::invalid_argument& e) {
+    throw FileFormatError(path, "walk config", e.what());
+  }
 }
 
 }  // namespace
@@ -166,12 +152,8 @@ void writeCheckpoint(const std::string& dir, const CheckpointData& data) {
   // The walk sidecar sits between the two for the same reason — the
   // meta's sidecar flag must never name a file that is not fully there.
   const std::string csr = csrPath(dir, data.epoch);
-  writeCsrFile(csr, data.graph);
-
-  CheckpointHeader h{};
-  std::memcpy(h.magic, kCheckpointMagic, sizeof(h.magic));
-  h.version = kCheckpointVersion;
-  h.headerBytes = sizeof(CheckpointHeader);
+  auto h = initHeader<CheckpointHeader>(kCheckpointMagic, kCheckpointVersion);
+  h.csrChecksum = writeCsrFile(csr, data.graph);
   h.epoch = data.epoch;
   h.journalSeq = data.journalSeq;
   h.numVertices = data.ranks.size();
@@ -180,32 +162,22 @@ void writeCheckpoint(const std::string& dir, const CheckpointData& data) {
   h.iterations = static_cast<std::uint32_t>(std::max(data.iterations, 0));
   h.flags = data.walks ? kCheckpointFlagWalkSidecar : 0;
   h.toleranceBound = data.toleranceBound;
-  h.csrChecksum = csrFileChecksum(csr);
   h.payloadBytes = data.ranks.size() * sizeof(double);
   h.checksum = checksum64(std::as_bytes(std::span(data.ranks)));
 
   const std::string walks = walksPath(dir, data.epoch);
-  const std::string meta = metaPath(dir, data.epoch);
-  const std::string what = "checkpoint '" + meta + "'";
-  const std::string tmp = meta + ".tmp." + std::to_string(::getpid());
   try {
     if (data.walks) writeWalkSidecar(walks, h, *data.walks);
-    {
-      io::FdFile out = io::FdFile::create(tmp, what, "ckpt.meta.open");
-      out.write(&h, sizeof(h), "ckpt.meta.write");
-      if (!data.ranks.empty())
-        out.write(data.ranks.data(), h.payloadBytes, "ckpt.meta.write");
-      out.sync("ckpt.meta.fsync");
-      out.close();
-    }
-    io::renameFile(tmp, meta, what, "ckpt.meta.rename");
-    io::fsyncDirectory(dir);
+    writeDurably(metaPath(dir, data.epoch),
+                 {"ckpt.meta.open", "ckpt.meta.fsync", "ckpt.meta.rename"},
+                 [&](io::FdFile& out) {
+                   out.write(&h, sizeof(h), "ckpt.meta.write");
+                   out.write(data.ranks.data(), h.payloadBytes, "ckpt.meta.write");
+                 });
   } catch (const FailPointAbort&) {
     throw;  // a real crash leaves the tmps; sweepStaleTmpFiles handles them
   } catch (...) {
     std::error_code ignored;
-    fs::remove(tmp, ignored);
-    fs::remove(walks + ".tmp." + std::to_string(::getpid()), ignored);
     fs::remove(walks, ignored);  // orphan halves are just noise
     fs::remove(csr, ignored);
     throw;
@@ -233,42 +205,34 @@ std::optional<CheckpointData> loadNewestCheckpoint(
     try {
       const MmapFile map = MmapFile::open(meta);
       const auto bytes = map.bytes();
-      CheckpointHeader h{};
-      if (bytes.size() < sizeof(h))
-        throw CheckpointError("truncated: smaller than the header");
-      std::memcpy(&h, bytes.data(), sizeof(h));
-      if (std::memcmp(h.magic, kCheckpointMagic, sizeof(h.magic)) != 0)
-        throw CheckpointError("bad magic");
-      if (h.version != kCheckpointVersion)
-        throw CheckpointError("unsupported version " +
-                              std::to_string(h.version));
-      if (h.headerBytes != sizeof(CheckpointHeader))
-        throw CheckpointError("header size mismatch");
+      const auto h = readHeader<CheckpointHeader>(bytes, kCheckpointMagic,
+                                                  kCheckpointVersion, meta);
       if (h.epoch != epoch)
-        throw CheckpointError("epoch field disagrees with the file name");
+        throw FileFormatError(meta, "epoch", "disagrees with the file name");
       if (h.numVertices != numVertices)
-        throw CheckpointError("vertex count " + std::to_string(h.numVertices) +
-                              " does not match the service's " +
-                              std::to_string(numVertices));
-      if (h.payloadBytes != h.numVertices * sizeof(double) ||
-          bytes.size() != sizeof(h) + h.payloadBytes)
-        throw CheckpointError("rank payload size mismatch");
+        throw FileFormatError(meta, "numVertices",
+                              std::to_string(h.numVertices) +
+                                  " does not match the service's " +
+                                  std::to_string(numVertices));
       const auto payload = bytes.subspan(sizeof(h));
-      if (checksum64(payload) != h.checksum)
-        throw CheckpointError("rank payload checksum mismatch");
-      if (csrFileChecksum(csr) != h.csrChecksum)
-        throw CheckpointError("paired csr checksum disagrees with the meta");
-
       CheckpointData data;
+      BoundedReader r(payload, meta);
+      r.readVector(data.ranks, h.numVertices, "numVertices");
+      r.expectEnd("numVertices");
+      if (h.payloadBytes != payload.size())
+        throw FileFormatError(meta, "payloadBytes", "rank payload size mismatch");
+      if (checksum64(payload) != h.checksum)
+        throw FileFormatError(meta, "checksum", "rank payload checksum mismatch");
+      if (csrFileChecksum(csr) != h.csrChecksum)
+        throw FileFormatError(meta, "csrChecksum",
+                              "paired csr checksum disagrees with the meta");
+
       data.epoch = h.epoch;
       data.journalSeq = h.journalSeq;
       data.batchesApplied = h.batchesApplied;
       data.edgesIngested = h.edgesIngested;
       data.iterations = static_cast<int>(h.iterations);
       data.toleranceBound = h.toleranceBound;
-      data.ranks.resize(static_cast<std::size_t>(h.numVertices));
-      if (!data.ranks.empty())
-        std::memcpy(data.ranks.data(), payload.data(), payload.size());
       data.graph = mapCsrFile(csr);  // full validation + checksum pass
 
       // The pair is good. The walk sidecar (when announced) is strictly

@@ -31,14 +31,14 @@
 // state must never block exact rank recovery. Old sets are pruned only
 // after a new set lands (as atomic triples — see pruneCheckpoints);
 // recovery takes the newest valid set and skips (with a warning)
-// anything torn.
+// anything torn. Framing (durable writes, header checks, bounded payload
+// slicing, FileFormatError) is util/framed_file.hpp's.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -103,11 +103,6 @@ struct CheckpointHeader {
 static_assert(sizeof(CheckpointHeader) == 96,
               "header layout is part of the format");
 
-class CheckpointError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 /// Everything recovery needs to resume as if the crash never happened:
 /// the graph, the warm ranks, where the journal replay starts — and,
 /// when a valid walk sidecar rode along, the resident walk store.
@@ -137,7 +132,7 @@ struct CheckpointData {
 
 /// Write the file set for `data` (data.graph must be the epoch's CSR;
 /// data.walks, when present, the epoch's walk store). Throws
-/// CsrFileError / io::IoError on failure; the caller decides whether
+/// io::IoError on failure; the caller decides whether
 /// that degrades the service or just skips the cadence tick.
 void writeCheckpoint(const std::string& dir, const CheckpointData& data);
 

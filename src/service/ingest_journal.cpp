@@ -6,11 +6,12 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <span>
 #include <utility>
 
 #include "util/checksum.hpp"
-#include "util/io_retry.hpp"
+#include "util/framed_file.hpp"
 
 namespace lfpr {
 
@@ -45,21 +46,11 @@ std::vector<std::byte> encodeRecord(std::uint64_t seq,
   return buf;
 }
 
-std::uint64_t readFully(int fd, void* out, std::uint64_t len,
-                        std::uint64_t offset) {
-  char* p = static_cast<char*>(out);
-  std::uint64_t got = 0;
-  while (got < len) {
-    const ::ssize_t n = ::pread(fd, p + got, len - got,
-                                static_cast<off_t>(offset + got));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;
-    got += static_cast<std::uint64_t>(n);
-  }
-  return got;
+[[noreturn]] void throwErrno(const std::string& path, const std::string& what) {
+  const int err = errno;
+  throw io::IoError("ingest journal '" + path + "': " + what + ": " +
+                        std::strerror(err),
+                    err);
 }
 
 }  // namespace
@@ -69,9 +60,7 @@ IngestJournal::IngestJournal(std::string path, VertexId numVertices,
     : path_(std::move(path)), numVertices_(numVertices), opt_(std::move(opt)) {
   LFPR_FAILPOINT("journal.open");
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd_ < 0)
-    throw JournalError("ingest journal '" + path_ +
-                       "': cannot open: " + std::strerror(errno));
+  if (fd_ < 0) throwErrno(path_, "cannot open");
   try {
     scanExisting();
   } catch (...) {
@@ -108,32 +97,32 @@ void IngestJournal::warn(const std::string& message) const {
   if (opt_.onWarning) opt_.onWarning(message);
 }
 
-void IngestJournal::writeHeader() {
-  JournalHeader h{};
-  std::memcpy(h.magic, kJournalMagic, sizeof(h.magic));
-  h.version = kJournalVersion;
-  h.headerBytes = sizeof(JournalHeader);
+JournalHeader IngestJournal::header() const {
+  auto h = initHeader<JournalHeader>(kJournalMagic, kJournalVersion);
   h.numVertices = numVertices_;
+  return h;
+}
+
+void IngestJournal::writeHeader() {
+  const JournalHeader h = header();
   io::pwriteFully(fd_, &h, sizeof(h), 0, "ingest journal '" + path_ + "'",
                   "journal.append.write");
   tailOffset_ = sizeof(JournalHeader);
 }
 
 void IngestJournal::quarantineTail(std::uint64_t fromOffset,
-                                   std::uint64_t fileSize,
+                                   std::span<const std::byte> tail,
                                    const std::string& why) {
-  const std::uint64_t bytes = fileSize - fromOffset;
-  quarantinedBytes_ += bytes;
+  quarantinedBytes_ += tail.size();
   // Preserve the suspect bytes for forensics — best effort; losing the
   // quarantine copy must not block recovery.
   const std::string side = path_ + ".torn";
   const int sfd =
       ::open(side.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (sfd >= 0) {
-    std::vector<std::byte> buf(bytes);
-    const std::uint64_t got = readFully(fd_, buf.data(), bytes, fromOffset);
     try {
-      io::writeFully(sfd, buf.data(), got, "journal quarantine '" + side + "'",
+      io::writeFully(sfd, tail.data(), tail.size(),
+                     "journal quarantine '" + side + "'",
                      "journal.quarantine.write");
     } catch (const FailPointAbort&) {
       ::close(sfd);
@@ -145,14 +134,11 @@ void IngestJournal::quarantineTail(std::uint64_t fromOffset,
   }
   // The truncation is load-bearing: appends must land on a well-formed
   // tail, not after torn bytes.
-  while (::ftruncate(fd_, static_cast<off_t>(fromOffset)) != 0) {
-    if (errno == EINTR) continue;
-    throw JournalError("ingest journal '" + path_ +
-                       "': cannot truncate torn tail: " + std::strerror(errno));
-  }
-  tailOffset_ = fromOffset;
-  warn("ingest journal '" + path_ + "': quarantined " + std::to_string(bytes) +
-       " torn tail bytes (" + why + "); treating as clean EOF");
+  while (::ftruncate(fd_, static_cast<off_t>(fromOffset)) != 0)
+    if (errno != EINTR) throwErrno(path_, "cannot truncate torn tail");
+  warn("ingest journal '" + path_ + "': quarantined " +
+       std::to_string(tail.size()) + " torn tail bytes (" + why +
+       "); treating as clean EOF");
 }
 
 void IngestJournal::quarantineWholeFile(const std::string& why) {
@@ -165,11 +151,8 @@ void IngestJournal::quarantineWholeFile(const std::string& why) {
   std::filesystem::copy_file(path_, side,
                              std::filesystem::copy_options::overwrite_existing,
                              ignored);  // forensics, best effort
-  while (::ftruncate(fd_, 0) != 0) {
-    if (errno == EINTR) continue;
-    throw JournalError("ingest journal '" + path_ +
-                       "': cannot reset corrupt file: " + std::strerror(errno));
-  }
+  while (::ftruncate(fd_, 0) != 0)
+    if (errno != EINTR) throwErrno(path_, "cannot reset corrupt file");
   warn("ingest journal '" + path_ + "': unreadable header (" + why +
        "); quarantined " + std::to_string(size) + " bytes and started fresh");
   writeHeader();
@@ -177,9 +160,7 @@ void IngestJournal::quarantineWholeFile(const std::string& why) {
 
 void IngestJournal::scanExisting() {
   struct ::stat st{};
-  if (::fstat(fd_, &st) != 0)
-    throw JournalError("ingest journal '" + path_ +
-                       "': cannot stat: " + std::strerror(errno));
+  if (::fstat(fd_, &st) != 0) throwErrno(path_, "cannot stat");
   const auto fileSize = static_cast<std::uint64_t>(st.st_size);
 
   if (fileSize == 0) {
@@ -187,12 +168,15 @@ void IngestJournal::scanExisting() {
     return;
   }
 
+  std::vector<std::byte> buf(fileSize);
+  std::ifstream in(path_, std::ios::binary);
+  in.read(reinterpret_cast<char*>(buf.data()), static_cast<std::streamsize>(fileSize));
+  const std::span<const std::byte> file(buf.data(), static_cast<std::size_t>(in.gcount()));
   JournalHeader h{};
-  if (fileSize < sizeof(h) ||
-      readFully(fd_, &h, sizeof(h), 0) != sizeof(h) ||
-      std::memcmp(h.magic, kJournalMagic, sizeof(h.magic)) != 0 ||
-      h.version != kJournalVersion || h.headerBytes != sizeof(JournalHeader)) {
-    quarantineWholeFile("bad magic/version/size");
+  try {
+    h = readHeader<JournalHeader>(file, kJournalMagic, kJournalVersion, path_);
+  } catch (const FileFormatError& e) {
+    quarantineWholeFile(e.what());
     return;
   }
   if (h.numVertices != numVertices_) {
@@ -205,66 +189,40 @@ void IngestJournal::scanExisting() {
   // Records carry explicit seqs and must increase by exactly 1; the
   // first record's seq is whatever checkpoint-coverage resets left as
   // the base (1 for a virgin journal).
+  const auto inRange = [&](const Edge& e) {
+    return e.src < numVertices_ && e.dst < numVertices_;
+  };
   std::uint64_t offset = sizeof(JournalHeader);
   std::uint64_t expectSeq = 0;  // 0 = accept any first seq >= 1
-  bool torn = false;
-  while (offset < fileSize) {
-    JournalRecordHeader rh{};
-    if (fileSize - offset < sizeof(rh)) {
-      quarantineTail(offset, fileSize, "partial record header");
-      torn = true;
-      break;
-    }
-    readFully(fd_, &rh, sizeof(rh), offset);
-    const std::uint64_t payloadBytes =
-        (static_cast<std::uint64_t>(rh.numDeletions) + rh.numInsertions) *
-        sizeof(Edge);
-    if (rh.seq == 0 || (expectSeq != 0 && rh.seq != expectSeq)) {
-      quarantineTail(offset, fileSize,
-                     "sequence break at record " + std::to_string(expectSeq));
-      torn = true;
-      break;
-    }
-    expectSeq = rh.seq;
-    if (fileSize - offset - sizeof(rh) < payloadBytes) {
-      quarantineTail(offset, fileSize, "partial record payload");
-      torn = true;
-      break;
-    }
+  BoundedReader r(file.subspan(offset), path_);
+  while (offset < file.size()) {
     Record rec;
-    rec.seq = rh.seq;
-    rec.batch.deletions.resize(rh.numDeletions);
-    rec.batch.insertions.resize(rh.numInsertions);
-    std::uint64_t p = offset + sizeof(rh);
-    readFully(fd_, rec.batch.deletions.data(),
-              rh.numDeletions * sizeof(Edge), p);
-    p += rh.numDeletions * sizeof(Edge);
-    readFully(fd_, rec.batch.insertions.data(),
-              rh.numInsertions * sizeof(Edge), p);
-    Checksum64 sum;
-    sum.update(std::as_bytes(std::span(rec.batch.deletions)));
-    sum.update(std::as_bytes(std::span(rec.batch.insertions)));
-    if (sum.value() != rh.checksum) {
-      quarantineTail(offset, fileSize, "record checksum mismatch");
-      torn = true;
+    try {
+      const auto rh = r.readOne<JournalRecordHeader>("record header");
+      if (rh.seq == 0 || (expectSeq != 0 && rh.seq != expectSeq))
+        throw FileFormatError(path_, "seq",
+                              "sequence break at record " + std::to_string(expectSeq));
+      expectSeq = rec.seq = rh.seq;
+      r.readVector(rec.batch.deletions, rh.numDeletions, "numDeletions");
+      r.readVector(rec.batch.insertions, rh.numInsertions, "numInsertions");
+      Checksum64 sum;
+      sum.update(std::as_bytes(std::span(rec.batch.deletions)));
+      sum.update(std::as_bytes(std::span(rec.batch.insertions)));
+      if (sum.value() != rh.checksum)
+        throw FileFormatError(path_, "checksum", "record checksum mismatch");
+      if (!std::all_of(rec.batch.deletions.begin(), rec.batch.deletions.end(), inRange) ||
+          !std::all_of(rec.batch.insertions.begin(), rec.batch.insertions.end(), inRange))
+        throw FileFormatError(path_, "edges", "edge endpoint out of range");
+    } catch (const FileFormatError& e) {
+      quarantineTail(offset, file.subspan(offset), e.what());
       break;
     }
-    bool inRange = true;
-    for (const Edge& e : rec.batch.deletions)
-      inRange = inRange && e.src < numVertices_ && e.dst < numVertices_;
-    for (const Edge& e : rec.batch.insertions)
-      inRange = inRange && e.src < numVertices_ && e.dst < numVertices_;
-    if (!inRange) {
-      quarantineTail(offset, fileSize, "edge endpoint out of range");
-      torn = true;
-      break;
-    }
+    offset += sizeof(JournalRecordHeader) + rec.batch.size() * sizeof(Edge);
     recovered_.push_back(std::move(rec));
-    offset += sizeof(rh) + payloadBytes;
     ++expectSeq;
   }
-  if (!torn) tailOffset_ = offset;
-  if (expectSeq != 0) {  // at least one valid record scanned
+  tailOffset_ = offset;
+  if (expectSeq != 0) {  // at least one record passed the seq check
     nextSeq_ = expectSeq;
     appendedSeq_ = expectSeq - 1;
     syncedSeq_ = expectSeq - 1;
@@ -279,39 +237,20 @@ void IngestJournal::compactThrough(std::uint64_t through) {
   if (keepFrom == recovered_.begin()) return;  // nothing covered, no rewrite
   recovered_.erase(recovered_.begin(), keepFrom);
 
-  const std::string what = "ingest journal '" + path_ + "'";
-  const std::string tmp = path_ + ".tmp." + std::to_string(::getpid());
-  try {
-    {
-      io::FdFile out = io::FdFile::create(tmp, what, "journal.open");
-      JournalHeader h{};
-      std::memcpy(h.magic, kJournalMagic, sizeof(h.magic));
-      h.version = kJournalVersion;
-      h.headerBytes = sizeof(JournalHeader);
-      h.numVertices = numVertices_;
-      out.write(&h, sizeof(h), "journal.compact.write");
-      for (const Record& r : recovered_) {
-        const auto buf = encodeRecord(r.seq, r.batch);
-        out.write(buf.data(), buf.size(), "journal.compact.write");
-      }
-      out.sync("journal.append.fsync");
-      out.close();
-    }
-    io::renameFile(tmp, path_, what, "journal.compact.rename");
-    io::fsyncDirectory(std::filesystem::path(path_).parent_path().string());
-  } catch (const FailPointAbort&) {
-    throw;  // a real crash leaves the tmp behind; recovery sweeps it
-  } catch (...) {
-    std::error_code ignored;
-    std::filesystem::remove(tmp, ignored);
-    throw;
-  }
+  writeDurably(path_,
+               {"journal.open", "journal.append.fsync", "journal.compact.rename"},
+               [&](io::FdFile& out) {
+                 const JournalHeader h = header();
+                 out.write(&h, sizeof(h), "journal.compact.write");
+                 for (const Record& r : recovered_) {
+                   const auto buf = encodeRecord(r.seq, r.batch);
+                   out.write(buf.data(), buf.size(), "journal.compact.write");
+                 }
+               });
 
   // Swap the fd to the compacted file.
   const int nfd = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
-  if (nfd < 0)
-    throw JournalError(what + ": cannot reopen after compaction: " +
-                       std::strerror(errno));
+  if (nfd < 0) throwErrno(path_, "cannot reopen after compaction");
   ::close(fd_);
   fd_ = nfd;
   struct ::stat st{};

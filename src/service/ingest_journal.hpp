@@ -17,6 +17,9 @@
 //                        checksum, because an append-only file's failure
 //                        mode is a torn *tail*, not interior corruption.
 //
+// The header check and the tmp-then-rename compaction write are
+// util/framed_file.hpp's.
+//
 // Torn-tail handling is quarantine, not abort: the first record that is
 // truncated, checksum-bad, out-of-sequence, or out-of-range marks clean
 // EOF; the suspect bytes are preserved in "<path>.torn" for forensics
@@ -40,7 +43,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <stdexcept>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,11 +75,6 @@ static_assert(sizeof(JournalRecordHeader) == 24,
               "record layout is part of the format");
 static_assert(sizeof(Edge) == 8, "record layout is part of the format");
 
-class JournalError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 enum class FsyncPolicy { None, Batch, GroupCommit };
 
 /// The journal file plus its recovery scan. Thread-safety: append() and
@@ -99,7 +97,7 @@ class IngestJournal {
 
   /// Open-or-create `path` and scan existing records. A torn tail is
   /// quarantined (see file comment); a valid prefix becomes recovered().
-  /// Throws JournalError only on unsalvageable I/O failure (cannot
+  /// Throws io::IoError only on unsalvageable I/O failure (cannot
   /// open/truncate), never on corrupt contents.
   IngestJournal(std::string path, VertexId numVertices, Options opt);
 
@@ -155,9 +153,10 @@ class IngestJournal {
 
  private:
   void scanExisting();
-  void quarantineTail(std::uint64_t fromOffset, std::uint64_t fileSize,
-                      const std::string& why);
+  void quarantineTail(std::uint64_t fromOffset,
+                      std::span<const std::byte> tail, const std::string& why);
   void quarantineWholeFile(const std::string& why);
+  [[nodiscard]] JournalHeader header() const;
   void writeHeader();
   void warn(const std::string& message) const;
   void startFlusher();

@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "graph/csr_file.hpp"
 #include "service/checkpoint.hpp"
 #include "util/failpoint.hpp"
 #include "util/io_retry.hpp"
@@ -366,9 +365,7 @@ void RankService::maybeCheckpoint(bool force) {
     degrade("checkpoint aborted by fail-point kill");
   } catch (const std::exception& e) {
     const auto* ioe = dynamic_cast<const io::IoError*>(&e);
-    const auto* cfe = dynamic_cast<const CsrFileError*>(&e);
-    if ((ioe != nullptr && ioe->diskFull()) ||
-        (cfe != nullptr && cfe->diskFull())) {
+    if (ioe != nullptr && ioe->diskFull()) {
       degrade(std::string("checkpoint failed: ") + e.what());
     } else {
       // Transient-looking failure: skip this cadence tick, warn, retry

@@ -1,12 +1,11 @@
-// Word-wide FNV-1a checksum shared by the on-disk snapshot formats
-// (csr_file, edge_log). Corruption detection only — not cryptographic.
+// Word-wide FNV-1a checksum shared by the five on-disk formats framed
+// by util/framed_file.hpp. Corruption detection only — not cryptographic.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <type_traits>
 
 namespace lfpr {
 
@@ -72,14 +71,6 @@ inline std::uint64_t checksum64(std::span<const std::byte> bytes) noexcept {
   Checksum64 c;
   c.update(bytes);
   return c.value();
-}
-
-/// View a trivially-copyable value as its raw bytes — the journal and
-/// checkpoint formats checksum fixed-layout structs this way.
-template <typename T>
-  requires std::is_trivially_copyable_v<T>
-std::span<const std::byte> podBytes(const T& value) noexcept {
-  return std::as_bytes(std::span<const T, 1>(&value, 1));
 }
 
 }  // namespace lfpr

@@ -1,8 +1,9 @@
 // Retrying POSIX write primitives for the durability subsystem (PR 7).
 //
-// Every durable writer (csr_file, edge_log, the ingest journal, the
-// checkpoint sidecar) funnels its syscalls through these helpers, which
-// give three properties in one place:
+// Every durable write funnels its syscalls through these helpers — the
+// tmp-then-rename writes of all five on-disk formats via
+// util/framed_file.hpp's writeDurably, and the ingest journal's in-place
+// appends and fsyncs — which give three properties in one place:
 //
 //   - transient failures (EINTR, EAGAIN, short writes) are retried with
 //     bounded exponential backoff instead of surfacing as hard errors;
@@ -223,14 +224,6 @@ class FdFile {
 
   FdFile(FdFile&& other) noexcept
       : fd_(std::exchange(other.fd_, -1)), what_(std::move(other.what_)) {}
-  FdFile& operator=(FdFile&& other) noexcept {
-    if (this != &other) {
-      closeNoThrow();
-      fd_ = std::exchange(other.fd_, -1);
-      what_ = std::move(other.what_);
-    }
-    return *this;
-  }
   FdFile(const FdFile&) = delete;
   FdFile& operator=(const FdFile&) = delete;
   ~FdFile() { closeNoThrow(); }
@@ -256,8 +249,6 @@ class FdFile {
       throw IoError(what_ + ": close failed: " + std::strerror(err), err);
     }
   }
-
-  [[nodiscard]] int fd() const noexcept { return fd_; }
 
  private:
   void closeNoThrow() noexcept {

@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <unordered_set>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "graph/edge_log.hpp"
 #include "harness/datasets.hpp"
 #include "pagerank/detail/common.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 
 namespace lfpr {
@@ -138,8 +141,8 @@ TEST_F(CsrFileTest, RejectsBadMagic) {
   corrupt(path("g.csr"), 0, std::span("XXXX", 4));
   try {
     mapCsrFile(path("g.csr"));
-    FAIL() << "expected CsrFileError";
-  } catch (const CsrFileError& e) {
+    FAIL() << "expected FileFormatError";
+  } catch (const FileFormatError& e) {
     expectContains(e.what(), "bad magic");
     expectContains(e.what(), "g.csr");
   }
@@ -152,8 +155,8 @@ TEST_F(CsrFileTest, RejectsVersionSkew) {
           {reinterpret_cast<const char*>(&future), sizeof(future)});
   try {
     mapCsrFile(path("g.csr"));
-    FAIL() << "expected CsrFileError";
-  } catch (const CsrFileError& e) {
+    FAIL() << "expected FileFormatError";
+  } catch (const FileFormatError& e) {
     expectContains(e.what(), "version");
     expectContains(e.what(), std::to_string(future));
   }
@@ -167,16 +170,16 @@ TEST_F(CsrFileTest, RejectsTruncation) {
   truncateFile(path("g.csr"), full - 1);
   try {
     mapCsrFile(path("g.csr"));
-    FAIL() << "expected CsrFileError";
-  } catch (const CsrFileError& e) {
+    FAIL() << "expected FileFormatError";
+  } catch (const FileFormatError& e) {
     expectContains(e.what(), "truncated");
   }
 
   truncateFile(path("g.csr"), sizeof(CsrFileHeader) / 2);
   try {
     mapCsrFile(path("g.csr"));
-    FAIL() << "expected CsrFileError";
-  } catch (const CsrFileError& e) {
+    FAIL() << "expected FileFormatError";
+  } catch (const FileFormatError& e) {
     expectContains(e.what(), "truncated");
     expectContains(e.what(), "header");
   }
@@ -191,8 +194,8 @@ TEST_F(CsrFileTest, RejectsChecksumMismatch) {
           std::span("\x5a", 1));
   try {
     mapCsrFile(path("g.csr"));
-    FAIL() << "expected CsrFileError";
-  } catch (const CsrFileError& e) {
+    FAIL() << "expected FileFormatError";
+  } catch (const FileFormatError& e) {
     expectContains(e.what(), "checksum");
   }
 }
@@ -202,7 +205,51 @@ TEST_F(CsrFileTest, RejectsHeaderCountTamper) {
   const std::uint64_t fewer = sampleGraph().numEdges() - 1;
   corrupt(path("g.csr"), offsetof(CsrFileHeader, numEdges),
           {reinterpret_cast<const char*>(&fewer), sizeof(fewer)});
-  EXPECT_THROW(mapCsrFile(path("g.csr")), CsrFileError);
+  EXPECT_THROW(mapCsrFile(path("g.csr")), FileFormatError);
+}
+
+/// Overwrite the u64 at `offset` in `file`.
+void putU64(const std::string& file, std::uint64_t offset, std::uint64_t value) {
+  std::fstream f(file, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+void expectFormatError(const std::function<void()>& load, const std::string& file,
+                       const std::string& field) {
+  try {
+    load();
+    FAIL() << "expected FileFormatError naming " << field;
+  } catch (const FileFormatError& e) {
+    EXPECT_EQ(e.path(), file);
+    EXPECT_EQ(e.field(), field) << e.what();
+  }
+}
+
+TEST_F(CsrFileTest, RejectsEdgeCountWhoseByteSizeWraps) {
+  // Empty graph, numEdges = 2^62: numEdges * 4 wraps to 0, so the byte
+  // sizes alone describe the file exactly and nothing else reads |E|.
+  const std::string empty = path("empty.csr");
+  writeCsrFile(empty, CsrGraph::fromEdges(0, {}));
+  putU64(empty, offsetof(CsrFileHeader, numEdges), std::uint64_t{1} << 62);
+  expectFormatError([&] { (void)mapCsrFile(empty); }, empty, "numEdges");
+
+  // One vertex with a self-loop, numEdges = 2^62 + 1: the wrapped size
+  // is the real one-edge section, and the forger also rewrites both
+  // offset arrays' last entry and the payload checksum to agree.
+  const std::string one = path("one.csr");
+  const std::vector<Edge> loop{{0, 0}};
+  writeCsrFile(one, CsrGraph::fromEdges(1, loop));
+  const std::uint64_t forged = (std::uint64_t{1} << 62) + 1;
+  constexpr std::uint64_t payload = sizeof(CsrFileHeader);
+  putU64(one, offsetof(CsrFileHeader, numEdges), forged);
+  putU64(one, payload + 8, forged);       // outOffsets[1]
+  putU64(one, payload + 16 + 8 + 8, forged);  // inOffsets[1]
+  std::ifstream in(one, std::ios::binary);
+  std::vector<char> bytes((std::istreambuf_iterator<char>(in)), {});
+  putU64(one, offsetof(CsrFileHeader, checksum),
+         checksum64(std::as_bytes(std::span(bytes).subspan(payload))));
+  expectFormatError([&] { (void)mapCsrFile(one); }, one, "numEdges");
 }
 
 TEST_F(CsrFileTest, OversizedVertexCountNamesCountAndLimit) {
@@ -217,8 +264,8 @@ TEST_F(CsrFileTest, OversizedVertexCountNamesCountAndLimit) {
           {reinterpret_cast<const char*>(&huge), sizeof(huge)});
   try {
     mapCsrFile(path("g.csr"));
-    FAIL() << "expected CsrFileError";
-  } catch (const CsrFileError& e) {
+    FAIL() << "expected FileFormatError";
+  } catch (const FileFormatError& e) {
     expectContains(e.what(), std::to_string(huge));
     expectContains(e.what(), limit);
   }
@@ -313,18 +360,32 @@ TEST_F(CsrFileTest, EdgeLogOversizedVertexCountNamesCountAndLimit) {
           {reinterpret_cast<const char*>(&huge), sizeof(huge)});
   try {
     readTemporalEdgeLog(path("s.elog"));
-    FAIL() << "expected EdgeLogError";
-  } catch (const EdgeLogError& e) {
+    FAIL() << "expected FileFormatError";
+  } catch (const FileFormatError& e) {
     expectContains(e.what(), std::to_string(huge));
     expectContains(e.what(), "4294967294");
   }
+}
+
+TEST_F(CsrFileTest, EdgeLogRejectsRecordCountWhoseByteSizeWraps) {
+  // (2^60 + 1) records * 16 bytes wraps to the one record present; the
+  // checksum covers the records only, so it still verifies.
+  TemporalEdgeListData one;
+  one.numVertices = 4;
+  one.edges = {{1, 2, 7}};
+  const std::string log = path("s.elog");
+  writeTemporalEdgeLog(log, one);
+  putU64(log, offsetof(EdgeLogHeader, numEdges), (std::uint64_t{1} << 60) + 1);
+  expectFormatError([&] { (void)readTemporalEdgeLog(log); }, log, "numEdges");
+  expectFormatError([&] { verifyTemporalEdgeLog(log); }, log, "numEdges");
+  expectFormatError([&] { TemporalEdgeLogReader r(log); }, log, "numEdges");
 }
 
 TEST_F(CsrFileTest, EdgeLogRejectsCorruption) {
   writeTemporalEdgeLog(path("s.elog"), sampleStream());
 
   corrupt(path("s.elog"), 0, std::span("ZZ", 2));
-  EXPECT_THROW(TemporalEdgeLogReader r(path("s.elog")), EdgeLogError);
+  EXPECT_THROW(TemporalEdgeLogReader r(path("s.elog")), FileFormatError);
 
   writeTemporalEdgeLog(path("s.elog"), sampleStream());
   const std::uint32_t future = kEdgeLogVersion + 9;
@@ -332,21 +393,21 @@ TEST_F(CsrFileTest, EdgeLogRejectsCorruption) {
           {reinterpret_cast<const char*>(&future), sizeof(future)});
   try {
     readTemporalEdgeLog(path("s.elog"));
-    FAIL() << "expected EdgeLogError";
-  } catch (const EdgeLogError& e) {
+    FAIL() << "expected FileFormatError";
+  } catch (const FileFormatError& e) {
     expectContains(e.what(), "version");
   }
 
   writeTemporalEdgeLog(path("s.elog"), sampleStream());
   truncateFile(path("s.elog"), fs::file_size(path("s.elog")) - 8);
-  EXPECT_THROW(verifyTemporalEdgeLog(path("s.elog")), EdgeLogError);
+  EXPECT_THROW(verifyTemporalEdgeLog(path("s.elog")), FileFormatError);
 
   writeTemporalEdgeLog(path("s.elog"), sampleStream());
   corrupt(path("s.elog"), sizeof(EdgeLogHeader) + 64, std::span("\x7e", 1));
   try {
     verifyTemporalEdgeLog(path("s.elog"));
-    FAIL() << "expected EdgeLogError";
-  } catch (const EdgeLogError& e) {
+    FAIL() << "expected FileFormatError";
+  } catch (const FileFormatError& e) {
     expectContains(e.what(), "checksum");
   }
 }

@@ -494,6 +494,34 @@ TEST_F(DurabilityTest, WalkSidecarChecksumTamperQuarantines) {
   EXPECT_TRUE(fs::exists(path("ckpt-6.walks.torn")));
 }
 
+TEST_F(DurabilityTest, WalkSidecarWrappingSizesQuarantine) {
+  writeCheckpoint(dir_.string(), sampleWalkCheckpoint(4, 68));
+  // segmentBytes = 2^63 and indexBytes = total - 2^63: the sum wraps to
+  // the real payload size and the payload checksum still verifies.
+  const std::string walks = path("ckpt-4.walks");
+  const std::uint64_t total = fs::file_size(walks) - sizeof(WalkSidecarHeader);
+  const std::uint64_t seg = std::uint64_t{1} << 63;
+  const std::uint64_t idx = total - seg;
+  {
+    std::fstream f(walks, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(offsetof(WalkSidecarHeader, segmentBytes));
+    f.write(reinterpret_cast<const char*>(&seg), sizeof(seg));
+    f.seekp(offsetof(WalkSidecarHeader, indexBytes));
+    f.write(reinterpret_cast<const char*>(&idx), sizeof(idx));
+  }
+  std::vector<std::string> warnings;
+  const auto loaded =
+      loadNewestCheckpoint(dir_.string(), kVertices,
+                           [&](const std::string& w) { warnings.push_back(w); });
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->epoch, 4u);
+  EXPECT_EQ(loaded->walkStore, nullptr);
+  EXPECT_TRUE(loaded->walkSidecarQuarantined);
+  EXPECT_TRUE(fs::exists(path("ckpt-4.walks.torn")));
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("segmentBytes"), std::string::npos) << warnings[0];
+}
+
 TEST_F(DurabilityTest, WalkSidecarVersionSkewQuarantines) {
   writeCheckpoint(dir_.string(), sampleWalkCheckpoint(7, 64));
   // Corrupt the version field (first u32 after the 8-byte magic): a
@@ -567,7 +595,7 @@ TEST_F(DurabilityTest, EdgeLogTailPolicyQuarantinesTornTail) {
   truncateFile(path("log.bin"), full - 10);
 
   // Strict (the dataset-cache contract) refuses.
-  EXPECT_THROW(TemporalEdgeLogReader(path("log.bin")), EdgeLogError);
+  EXPECT_THROW(TemporalEdgeLogReader(path("log.bin")), FileFormatError);
 
   // QuarantineTorn clamps to the last complete record and reports.
   TemporalEdgeLogReader reader(path("log.bin"), LogTailPolicy::QuarantineTorn);
@@ -582,7 +610,7 @@ TEST_F(DurabilityTest, EdgeLogTailPolicyQuarantinesTornTail) {
   std::ofstream(path("log2.bin"), std::ios::binary | std::ios::app) << "xx";
   EXPECT_THROW(
       TemporalEdgeLogReader(path("log2.bin"), LogTailPolicy::QuarantineTorn),
-      EdgeLogError);
+      FileFormatError);
 }
 
 // ---------------------------------------------------------------------
@@ -923,6 +951,34 @@ TEST_F(DurabilityTest, EnospcDegradesToServeStale) {
   EXPECT_FALSE(service.trySubmit(batches[2]));
   EXPECT_EQ(service.publishedEpoch(), epochBefore);
   EXPECT_EQ(service.ranks(), ranksBefore);
+  service.stop();
+}
+
+TEST_F(DurabilityTest, QuotaExhaustedCheckpointDegradesToServeStale) {
+  const auto initial = makeTestGraph(60);
+  const auto batches = makeBatches(initial, 2, 61);
+  std::vector<std::string> warnings;
+  auto opt = durableOptions(/*checkpointEverySolves=*/1);
+  opt.durability.onWarning = [&](const std::string& w) {
+    warnings.push_back(w);
+  };
+  RankService service(initial, opt);
+  service.waitForEpoch(1);
+  service.waitIdle();
+  ASSERT_FALSE(service.degraded());
+
+  // EDQUOT is disk-full for a quota: the checkpoint's csr half must
+  // degrade the service exactly as ENOSPC does, not skip a cadence tick.
+  FailPoints::instance().armErrno("csr.write", EDQUOT, 1);
+  ASSERT_TRUE(service.submit(batches[0]));
+  service.waitIdle();
+  FailPoints::instance().disarmAll();
+  EXPECT_TRUE(service.degraded());
+  EXPECT_TRUE(service.staleness().degraded);
+  EXPECT_FALSE(service.submit(batches[1]));
+  ASSERT_FALSE(warnings.empty());
+  EXPECT_NE(warnings.back().find("checkpoint failed"), std::string::npos)
+      << warnings.back();
   service.stop();
 }
 
