@@ -80,12 +80,10 @@ double timedMs(const BenchConfig& cfg, Fn&& fn) {
 inline std::string fmtMs(double ms) { return Table::num(ms, 2); }
 
 /// One-line protocol-cost readout (publish-protocol diagnostics without
-/// perf tools). Prints nothing unless the build counts them
-/// (-DLFPR_STATS=ON); always zero for the barrier-based engines.
+/// perf tools); always zero for the barrier-based engines.
 inline void printProtocolStats(const std::string& label, const PageRankResult& r) {
-  if (!protocolStatsEnabled()) return;
   std::cout << "protocol_stats[" << label
-            << "]: rank_publishes=" << r.protocolStats.rankPublishes
+            << "]: rank_updates=" << r.rankUpdates
             << " re_pulls=" << r.protocolStats.rePulls
             << " flag_rmws=" << r.protocolStats.flagRmws
             << " ring_pushes=" << r.protocolStats.ringPushes

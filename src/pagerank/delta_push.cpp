@@ -8,9 +8,6 @@
 #include "pagerank/detail/engine_step.hpp"
 #include "pagerank/pagerank.hpp"
 
-#include <stdexcept>
-#include <string>
-
 namespace lfpr {
 
 PageRankResult deltaPush(const CsrGraph& prev, const CsrGraph& curr,
@@ -20,10 +17,9 @@ PageRankResult deltaPush(const CsrGraph& prev, const CsrGraph& curr,
   // One-shot wrapper over the resumable step API, like dynamicLF: a
   // fresh state seeded with prevRanks, exactly one push step, ranks
   // copied out. Long-lived callers (service/rank_service.cpp) keep the
-  // state — and its parked residuals — across steps instead.
-  if (prevRanks.size() != curr.numVertices())
-    throw std::invalid_argument("deltaPush: prevRanks size must match graph");
-  detail::LfEngineState state(curr.numVertices());
+  // state — and its parked residuals — across steps instead. The state
+  // takes prevRanks' size, so the step's input check rejects a mismatch.
+  detail::LfEngineState state(prevRanks.size());
   state.seedRanks(prevRanks);
   PageRankResult result =
       detail::lfDeltaPushStep(state, prev, curr, batch, opt, fault, "deltaPush");

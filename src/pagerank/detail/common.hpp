@@ -1,5 +1,6 @@
 // Shared engine internals: the rank-pull kernel (Equation 1 restricted to
-// one vertex) and small padded per-thread accumulators.
+// one vertex), the batch-edge list of the marking phase, and small
+// padded per-thread accumulators.
 #pragma once
 
 #include <atomic>
@@ -15,10 +16,6 @@ namespace lfpr::detail {
 
 struct alignas(64) PaddedDouble {
   double value = 0.0;
-};
-
-struct alignas(64) PaddedU64 {
-  std::uint64_t value = 0;
 };
 
 // The two pull kernels below both compute Equation 1 restricted to one
@@ -58,6 +55,29 @@ inline double pullRank(const CsrGraph& g, const AtomicF64Vector& ranks, VertexId
 /// (RMW-diet item a in lf_iterate.cpp).
 inline void markAffected(AtomicU8Vector& affected, VertexId w) noexcept {
   if (affected.load(w) == 0) affected.store(w, 1);
+}
+
+/// Dynamic-schedule chunk size for the batch-edge loop of the marking
+/// phase. Batches are usually much smaller than the vertex set, so a
+/// smaller chunk keeps the marking balanced.
+inline constexpr std::size_t kEdgeChunkSize = 256;
+
+/// The marking-phase input: deletions ++ insertions.
+inline std::vector<Edge> concatBatch(const BatchUpdate& batch) {
+  std::vector<Edge> edges;
+  edges.reserve(batch.size());
+  edges.insert(edges.end(), batch.deletions.begin(), batch.deletions.end());
+  edges.insert(edges.end(), batch.insertions.begin(), batch.insertions.end());
+  return edges;
+}
+
+/// Service lifecycle hook (PageRankOptions::stopRequested): a cooperative
+/// stop is observed at the same boundaries as global convergence. The
+/// flags stay the authority for `converged`, so a stopped run reports
+/// honestly unconverged flags rather than a fake fixpoint.
+inline bool stopSeen(const PageRankOptions& opt) noexcept {
+  return opt.stopRequested != nullptr &&
+         opt.stopRequested->load(std::memory_order_relaxed);
 }
 
 /// a = max(a, v) without locks.

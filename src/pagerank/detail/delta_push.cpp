@@ -7,8 +7,8 @@
 // forward-pushes `alpha * d * invOutDeg` to each out-neighbour, which
 // preserves the identity exactly; a fetch-add can never lose mass. When
 // every parked |residual[v]| is at or below the activation threshold
-// tau(v), the error is bounded by max tau / (1 - alpha) — the same
-// asyncToleranceBound certificate the pull engines report.
+// tau (opt.tolerance), the error is bounded by tau / (1 - alpha) — the
+// same asyncToleranceBound certificate the pull engines report.
 //
 // The four protocol parts (lf_iterate.cpp) translate as follows:
 //
@@ -67,32 +67,19 @@ namespace lfpr::detail {
 
 namespace {
 
-bool stopSeen(const DeltaPushShared& s) noexcept {
-  return s.opt.stopRequested != nullptr &&
-         s.opt.stopRequested->load(std::memory_order_relaxed);
-}
-
 bool exitLoops(const DeltaPushShared& s) noexcept {
-  return s.allConverged.load(std::memory_order_relaxed) || stopSeen(s);
+  return s.allConverged.load(std::memory_order_relaxed) || stopSeen(s.opt);
 }
 
-/// Per-vertex activation threshold: tolerance plus the optional
-/// Ligra-PRDelta-style relative term (options.hpp,
-/// pushRelativeTolerance). With the default 0 this is the constant tau.
-double threshold(const DeltaPushShared& s, std::size_t v) noexcept {
-  const double rel = s.opt.pushRelativeTolerance;
-  if (rel == 0.0) return s.opt.tolerance;
-  return s.opt.tolerance + rel * std::abs(s.ranks.load(v));
-}
-
-/// Release-mark + counted ring entry, in the flags.hpp order (flag RMW
-/// strictly before the enqueue, so the mark survives a lost enqueue). A
-/// healthy team drainer (`tid` >= 0) then wakes the vertex's owner, after
-/// the mark, so a woken owner sees it.
-void activateVertex(const DeltaPushShared& s, std::size_t v, int tid) {
-  markVertexUnconverged(s.notConverged, nullptr, 0, v, nullptr);
-  LFPR_COUNT(s.stats, flagRmws, 1);
-  s.worklist.activate(v);
+/// Release-mark + ring entry, in the flags.hpp order (flag RMW strictly
+/// before the enqueue, so the mark survives a lost enqueue). A healthy
+/// team drainer (`tid` >= 0) then wakes the vertex's owner, after the
+/// mark, so a woken owner sees it.
+void activateVertex(const DeltaPushShared& s, StepCounters& cnt, std::size_t v,
+                    int tid) {
+  markVertexUnconverged(s.notConverged, nullptr, 0, v, &s.worklist);
+  ++cnt.flagRmws;
+  ++cnt.activations;
   if (tid >= 0 && s.fault == nullptr) {
     const int owner = s.worklist.owner(v);
     if (owner != tid) s.quiescence.wake(owner);
@@ -104,9 +91,9 @@ void activateVertex(const DeltaPushShared& s, std::size_t v, int tid) {
 /// scaled mass to the out-neighbours, then clear-then-reverify the RC
 /// flag against the post-drain residual. `tid` is the draining team
 /// thread, or -1 after the join.
-void drainVertex(const DeltaPushShared& s, std::size_t v, int tid, bool diet,
-                 std::uint64_t& updates) {
-  const double thr = threshold(s, v);
+void drainVertex(const DeltaPushShared& s, StepCounters& cnt, std::size_t v,
+                 int tid, bool diet) {
+  const double thr = s.opt.tolerance;
   double res = s.residual.load(v);
   if (res > thr || res < -thr) {
     const double d = s.residual.exchange(v, 0.0);
@@ -117,8 +104,7 @@ void drainVertex(const DeltaPushShared& s, std::size_t v, int tid, bool diet,
       } else {
         s.ranks.fetchAdd(v, d);
       }
-      LFPR_COUNT(s.stats, rankPublishes, 1);
-      ++updates;
+      ++cnt.rankUpdates;
       const double w =
           s.opt.alpha * d * s.graph.invOutDegree(static_cast<VertexId>(v));
       if (w != 0.0) {
@@ -128,12 +114,10 @@ void drainVertex(const DeltaPushShared& s, std::size_t v, int tid, bool diet,
           // markAffected keeps result.affectedVertices meaningful for
           // push solves: everything whose residual ever moved.
           markAffected(s.affected, u);
-          if (WorklistScheduler::crossedThreshold(before, before + w,
-                                                  threshold(s, u)))
-            activateVertex(s, u, tid);
+          if (WorklistScheduler::crossedThreshold(before, before + w, thr))
+            activateVertex(s, cnt, u, tid);
         }
-        LFPR_COUNT(s.stats, residualPushes,
-                   static_cast<std::uint64_t>(out.size()));
+        cnt.residualPushes += out.size();
       }
     }
   }
@@ -145,10 +129,10 @@ void drainVertex(const DeltaPushShared& s, std::size_t v, int tid, bool diet,
   if (s.notConverged.load(v) != 0) {
     res = s.residual.load(v);
     if (!(res > thr) && !(res < -thr)) {
-      LFPR_COUNT(s.stats, flagRmws, 1);
+      ++cnt.flagRmws;
       if (s.notConverged.exchange(v, 0, std::memory_order_acquire) != 0) {
         res = s.residual.load(v);
-        if (res > thr || res < -thr) activateVertex(s, v, tid);
+        if (res > thr || res < -thr) activateVertex(s, cnt, v, tid);
       }
     }
   }
@@ -159,8 +143,8 @@ void drainVertex(const DeltaPushShared& s, std::size_t v, int tid, bool diet,
 /// by helpers or the sequential repair is idempotent. Returns false if
 /// this thread crashed (tid >= 0; the sequential repair passes -1 and
 /// never observes faults — the team has already joined).
-bool seedChunk(const DeltaPushShared& s, std::size_t begin, std::size_t end,
-               int tid) {
+bool seedChunk(const DeltaPushShared& s, StepCounters& cnt, std::size_t begin,
+               std::size_t end, int tid) {
   const double alpha = s.opt.alpha;
   const double base =
       (1.0 - alpha) / static_cast<double>(s.graph.numVertices());
@@ -169,7 +153,7 @@ bool seedChunk(const DeltaPushShared& s, std::size_t begin, std::size_t end,
     const auto v = static_cast<VertexId>(i);
     const double target = pullRank(s.graph, s.ranks, v, alpha, base);
     s.residual.store(i, target - s.ranks.load(i));
-    LFPR_COUNT(s.stats, rePulls, 1);
+    ++cnt.rePulls;
     if (tid >= 0 && s.fault != nullptr && !s.fault->onVertexProcessed(tid))
       return false;  // crashed; seedDone for this chunk stays 0
     ++i;
@@ -240,11 +224,12 @@ void TeamQuiescence::leave(int self) noexcept {
 bool seedResidualWorker(const DeltaPushShared& s, int tid) {
   const std::size_t n = s.graph.numVertices();
   const std::size_t chunkSize = s.seedCursor.chunkSize();
+  StepCounters& cnt = s.counters[tid];
   // First pass: drain the shared chunk pool.
   std::size_t begin = 0, end = 0;
   while (s.seedCursor.next(begin, end)) {
-    if (stopSeen(s)) return true;  // abort early; flags keep the run honest
-    if (!seedChunk(s, begin, end, tid)) return false;
+    if (stopSeen(s.opt)) return true;  // abort early; flags keep the run honest
+    if (!seedChunk(s, cnt, begin, end, tid)) return false;
     s.seedDone.store(begin / chunkSize, 1, std::memory_order_release);
   }
   // Helping rescan (the marking phase's idiom): re-execute any chunk
@@ -252,10 +237,10 @@ bool seedResidualWorker(const DeltaPushShared& s, int tid) {
   // never block phase B. Stores of identical values make replay safe.
   for (std::size_t c = 0; c < s.seedDone.size(); ++c) {
     if (s.seedDone.load(c, std::memory_order_acquire) != 0) continue;
-    if (stopSeen(s)) return true;
+    if (stopSeen(s.opt)) return true;
     const std::size_t b = c * chunkSize;
     const std::size_t e = std::min(b + chunkSize, n);
-    if (!seedChunk(s, b, e, tid)) return false;
+    if (!seedChunk(s, cnt, b, e, tid)) return false;
     s.seedDone.store(c, 1, std::memory_order_release);
   }
   return true;
@@ -269,9 +254,10 @@ void seedResidualRepair(const DeltaPushShared& s) {
   const std::size_t chunkSize = s.seedCursor.chunkSize();
   for (std::size_t c = 0; c < s.seedDone.size(); ++c) {
     if (s.seedDone.load(c, std::memory_order_acquire) != 0) continue;
-    if (stopSeen(s)) return;
+    if (stopSeen(s.opt)) return;
     const std::size_t b = c * chunkSize;
-    seedChunk(s, b, std::min(b + chunkSize, n), /*tid=*/-1);
+    seedChunk(s, s.counters.sequential(), b, std::min(b + chunkSize, n),
+              /*tid=*/-1);
     s.seedDone.store(c, 1, std::memory_order_release);
   }
 }
@@ -293,7 +279,7 @@ void deltaPushWorker(const DeltaPushShared& s, int tid) {
   // healthy solves early, stranding later pushes into the partition.
   const std::size_t budget = std::max<std::size_t>(n, 1);
   std::size_t partial = 0;  // drains of short passes toward the next round
-  std::uint64_t updates = 0;
+  StepCounters& cnt = s.counters[tid];
   std::size_t scanHint = 0;
 
   int round = 0;
@@ -320,15 +306,13 @@ void deltaPushWorker(const DeltaPushShared& s, int tid) {
     VertexId v = 0;
     while (pops < budget && wl.tryPop(tid, v)) {
       ++pops;
-      drainVertex(s, v, tid, diet, updates);
+      drainVertex(s, cnt, v, tid, diet);
       // Heartbeat every 64 pops (not just at drain end) so a quiescent
       // peer sampling the counter across a yield never misreads this
       // healthy owner as orphaned.
       if ((pops & 63u) == 0) wl.noteProgress(64);
-      if (s.fault != nullptr && !s.fault->onVertexProcessed(tid)) {
-        s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
+      if (s.fault != nullptr && !s.fault->onVertexProcessed(tid))
         return;  // crashed
-      }
     }
     if ((pops & 63u) != 0) wl.noteProgress(pops & 63u);
     if (pops >= budget) {
@@ -344,12 +328,10 @@ void deltaPushWorker(const DeltaPushShared& s, int tid) {
     std::size_t i = oBegin;
     while ((i = s.notConverged.firstNonZero(i, oEnd)) < oEnd) {
       ++dirt;
-      drainVertex(s, i, tid, diet, updates);
+      drainVertex(s, cnt, i, tid, diet);
       wl.noteProgress(1);
-      if (s.fault != nullptr && !s.fault->onVertexProcessed(tid)) {
-        s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
+      if (s.fault != nullptr && !s.fault->onVertexProcessed(tid))
         return;  // crashed
-      }
       ++i;
     }
     if (dirt > 0 || pops > 0) {
@@ -395,23 +377,19 @@ void deltaPushWorker(const DeltaPushShared& s, int tid) {
     std::size_t helped = 0;
     while (helped < budget && wl.trySteal(tid, v)) {
       ++helped;
-      drainVertex(s, v, tid, /*diet=*/false, updates);
+      drainVertex(s, cnt, v, tid, /*diet=*/false);
       wl.noteProgress(1);
-      if (!s.fault->onVertexProcessed(tid)) {
-        s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
+      if (!s.fault->onVertexProcessed(tid))
         return;  // crashed
-      }
     }
     std::size_t swept = 0;
     i = 0;
     while (swept < budget && (i = s.notConverged.firstNonZero(i, n)) < n) {
       ++swept;
-      drainVertex(s, i, tid, /*diet=*/false, updates);
+      drainVertex(s, cnt, i, tid, /*diet=*/false);
       wl.noteProgress(1);
-      if (!s.fault->onVertexProcessed(tid)) {
-        s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
+      if (!s.fault->onVertexProcessed(tid))
         return;  // crashed
-      }
       ++i;
     }
     if (helped > 0 || swept > 0) {
@@ -425,7 +403,6 @@ void deltaPushWorker(const DeltaPushShared& s, int tid) {
     ++round;
   }
   if (s.fault == nullptr) s.quiescence.leave(tid);
-  s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
 }
 
 void deltaPushFinishSequential(const DeltaPushShared& s) {
@@ -435,25 +412,24 @@ void deltaPushFinishSequential(const DeltaPushShared& s) {
   if (!s.allConverged.load(std::memory_order_relaxed)) return;
 
   const std::size_t n = s.graph.numVertices();
-  std::uint64_t updates = 0;
+  StepCounters& cnt = s.counters.sequential();
   std::size_t scanHint = 0;
   const int budget = std::max(
       0, s.opt.maxIterations - s.maxRound.load(std::memory_order_relaxed));
   int roundsDone = 0;
   for (int round = 0; round < budget; ++round) {
-    if (stopSeen(s)) break;
+    if (stopSeen(s.opt)) break;
     if (s.notConverged.allZeroFrom(scanHint)) break;
     std::size_t i = 0;
     while ((i = s.notConverged.firstNonZero(i, n)) < n) {
       // Post-join, so the full-RMW apply path is simply unconditional.
-      drainVertex(s, i, /*tid=*/-1, /*diet=*/false, updates);
+      drainVertex(s, cnt, i, /*tid=*/-1, /*diet=*/false);
       ++i;
     }
     ++roundsDone;
   }
   if (roundsDone > 0)
     s.maxRound.fetch_add(roundsDone, std::memory_order_relaxed);
-  s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
 }
 
 }  // namespace lfpr::detail

@@ -11,7 +11,7 @@
 // no per-vertex spin-locks, unlike Ligra's PRDelta). A push that moves a
 // neighbour's residual across the activation threshold enters it into
 // the same WorkRing/WorklistScheduler machinery the PR 5 worklist uses
-// (WorklistScheduler::activate). Residual magnitudes decay geometrically
+// (WorklistScheduler::enqueue). Residual magnitudes decay geometrically
 // (alpha per hop), so total touched edges scale with the injected mass,
 // not with frontier-size times iterations — the mid-density fig7 band
 // where both pull schedulers do redundant work.
@@ -28,7 +28,7 @@
 
 #include "graph/csr.hpp"
 #include "pagerank/atomics.hpp"
-#include "pagerank/detail/stats.hpp"
+#include "pagerank/detail/step_counters.hpp"
 #include "pagerank/options.hpp"
 #include "sched/chunk_cursor.hpp"
 #include "sched/fault.hpp"
@@ -91,14 +91,15 @@ struct DeltaPushShared {
   ChunkCursor& seedCursor;
   std::atomic<bool>& allConverged;
   std::atomic<int>& maxRound;
-  std::atomic<std::uint64_t>& rankUpdates;
+  /// Worker tid counts into counters[tid], the post-join passes into
+  /// counters.sequential().
+  StepCounterSlots& counters;
   const PageRankOptions& opt;
   FaultInjector* fault = nullptr;
   /// Always present: delta-push is worklist-driven by construction.
   WorklistScheduler& worklist;
   /// Healthy-mode exit rule, one slot per team thread.
   TeamQuiescence& quiescence;
-  ProtocolCounters* stats = nullptr;
 };
 
 /// Phase A worker body (after markAffectedWorker): seed the residuals of

@@ -1,9 +1,9 @@
 #include "pagerank/detail/dynamic_engines.hpp"
 
-#include <stdexcept>
 #include <vector>
 
 #include "pagerank/atomics.hpp"
+#include "pagerank/detail/common.hpp"
 #include "pagerank/detail/engine_step.hpp"
 #include "pagerank/detail/marking.hpp"
 #include "pagerank/detail/power_bb.hpp"
@@ -13,45 +13,12 @@
 
 namespace lfpr::detail {
 
-namespace {
-
-/// Dynamic-schedule chunk size for the batch-edge loop of the marking
-/// phase. Batches are usually much smaller than the vertex set, so a
-/// smaller chunk keeps the marking balanced.
-constexpr std::size_t kEdgeChunkSize = 256;
-
-std::vector<Edge> concatBatch(const BatchUpdate& batch) {
-  std::vector<Edge> edges;
-  edges.reserve(batch.size());
-  edges.insert(edges.end(), batch.deletions.begin(), batch.deletions.end());
-  edges.insert(edges.end(), batch.insertions.begin(), batch.insertions.end());
-  return edges;
-}
-
-void validateInputs(const CsrGraph& prev, const CsrGraph& curr,
-                    const BatchUpdate& batch, std::span<const double> prevRanks,
-                    const char* name) {
-  if (prevRanks.size() != curr.numVertices())
-    throw std::invalid_argument(std::string(name) + ": prevRanks size must match graph");
-  if (prev.numVertices() != curr.numVertices())
-    throw std::invalid_argument(
-        std::string(name) +
-        ": snapshots must share the vertex set (no vertex insertions/deletions)");
-  for (const Edge& e : batch.deletions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
-  for (const Edge& e : batch.insertions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
-}
-
-}  // namespace
-
 PageRankResult dynamicBB(const CsrGraph& prev, const CsrGraph& curr,
                          const BatchUpdate& batch, std::span<const double> prevRanks,
                          const PageRankOptions& opt, FaultInjector* fault,
                          bool traverse, bool expandFrontier) {
-  validateInputs(prev, curr, batch, prevRanks, traverse ? "dtBB" : "dfBB");
+  checkStepInputs(prev, curr, batch, prevRanks.size(),
+                  traverse ? "dtBB" : "dfBB");
   const std::size_t n = curr.numVertices();
   if (n == 0) {
     PageRankResult result;
@@ -66,13 +33,16 @@ PageRankResult dynamicBB(const CsrGraph& prev, const CsrGraph& curr,
   ChunkCursor markCursor(edges.size(), kEdgeChunkSize);
 
   ThreadTeam team(opt.numThreads);
+  // The BB engines report no protocol counters; the marking phase counts
+  // into slots that are dropped.
+  StepCounterSlots markCounters(team.size());
   const Stopwatch markTimer;
   team.run([&](int tid) {
     if (fault != nullptr && fault->crashed(tid)) return;
     const MarkShared shared{prev,      curr,         edges,      checked,
                             affected,  notConverged, nullptr,    opt.chunkSize,
                             markCursor, traverse,    fault};
-    markAffectedWorker(shared, tid);
+    markAffectedWorker(shared, tid, markCounters[tid]);
   });
   const double markMs = markTimer.elapsedMs();
 
@@ -93,16 +63,13 @@ PageRankResult dynamicLF(const CsrGraph& prev, const CsrGraph& curr,
   // One-shot wrapper over the resumable step API (engine_step.hpp): a
   // fresh state seeded with prevRanks, exactly one dynamic step, ranks
   // copied out. Long-lived callers (service/rank_service.cpp) keep the
-  // state across steps instead.
-  const char* name = traverse ? "dtLF" : "dfLF";
-  if (prevRanks.size() != curr.numVertices())
-    throw std::invalid_argument(std::string(name) +
-                                ": prevRanks size must match graph");
-  LfEngineState state(curr.numVertices());
+  // state across steps instead. The state takes prevRanks' size, so the
+  // step's input check rejects a mismatched vector.
+  LfEngineState state(prevRanks.size());
   state.seedRanks(prevRanks);
   PageRankResult result =
       lfDynamicStep(state, prev, curr, batch, opt, fault, traverse,
-                    expandFrontier, name);
+                    expandFrontier, traverse ? "dtLF" : "dfLF");
   result.ranks = state.ranks.toVector();
   return result;
 }

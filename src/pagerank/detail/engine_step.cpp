@@ -20,46 +20,60 @@ namespace lfpr::detail {
 
 namespace {
 
-/// Dynamic-schedule chunk size for the batch-edge loop of the marking
-/// phase. Batches are usually much smaller than the vertex set, so a
-/// smaller chunk keeps the marking balanced.
-constexpr std::size_t kEdgeChunkSize = 256;
-
-std::vector<Edge> concatBatch(const BatchUpdate& batch) {
-  std::vector<Edge> edges;
-  edges.reserve(batch.size());
-  edges.insert(edges.end(), batch.deletions.begin(), batch.deletions.end());
-  edges.insert(edges.end(), batch.insertions.begin(), batch.insertions.end());
-  return edges;
+/// A zero-vertex graph is trivially converged.
+PageRankResult emptyGraphResult(const PageRankOptions& opt) {
+  PageRankResult result;
+  result.converged = true;
+  result.toleranceBound = asyncToleranceBound(opt.tolerance, opt.alpha);
+  return result;
 }
 
-bool stopSeen(const PageRankOptions& opt) noexcept {
-  return opt.stopRequested != nullptr &&
-         opt.stopRequested->load(std::memory_order_relaxed);
-}
-
+/// The common tail of every exact step. The flags, not allConverged, are
+/// the authority for `converged`: the finish pass can itself hit the
+/// round cap and leave the run honestly unconverged.
 void finishResult(PageRankResult& result, const PageRankOptions& opt,
-                  bool flagsClean) {
+                  bool flagsClean, const std::atomic<int>& maxRound,
+                  const StepCounterSlots& counters,
+                  const WorklistScheduler* worklist) {
   result.converged = flagsClean;
   result.stopped = stopSeen(opt);
   result.toleranceBound =
       result.converged ? asyncToleranceBound(opt.tolerance, opt.alpha)
                        : std::numeric_limits<double>::infinity();
+  result.iterations = maxRound.load();
+  counters.reduceInto(result);
+  if (worklist != nullptr) result.protocolStats.ringPushes = worklist->pushes();
 }
 
 }  // namespace
 
+void checkBatchEdges(const BatchUpdate& batch, std::size_t numVertices,
+                     const char* name) {
+  for (const auto* edges : {&batch.deletions, &batch.insertions})
+    for (const Edge& e : *edges)
+      if (e.src >= numVertices || e.dst >= numVertices)
+        throw std::out_of_range(std::string(name) + ": batch edge out of range");
+}
+
+void checkStepInputs(const CsrGraph& prev, const CsrGraph& curr,
+                     const BatchUpdate& batch, std::size_t numRanks,
+                     const char* name) {
+  if (numRanks != curr.numVertices())
+    throw std::invalid_argument(std::string(name) +
+                                ": prevRanks size must match graph");
+  if (prev.numVertices() != curr.numVertices())
+    throw std::invalid_argument(
+        std::string(name) +
+        ": snapshots must share the vertex set (no vertex insertions/deletions)");
+  checkBatchEdges(batch, curr.numVertices(), name);
+}
+
 PageRankResult lfFullStep(LfEngineState& state, const CsrGraph& curr,
                           const PageRankOptions& opt, FaultInjector* fault) {
-  PageRankResult result;
   const std::size_t n = curr.numVertices();
   if (n != state.size())
     throw std::invalid_argument("lfFullStep: state size must match graph");
-  if (n == 0) {
-    result.converged = true;
-    result.toleranceBound = asyncToleranceBound(opt.tolerance, opt.alpha);
-    return result;
-  }
+  if (n == 0) return emptyGraphResult(opt);
 
   ThreadTeam team(opt.numThreads);
   PageRankOptions resolved = opt;
@@ -74,8 +88,7 @@ PageRankResult lfFullStep(LfEngineState& state, const CsrGraph& curr,
                         static_cast<std::size_t>(resolved.maxIterations));
   std::atomic<bool> allConverged{false};
   std::atomic<int> maxRound{0};
-  std::atomic<std::uint64_t> rankUpdates{0};
-  ProtocolCounters counters;
+  StepCounterSlots counters(team.size());
 
   // Static/ND worklist solves start all-dirty: round 0 is a dense seeding
   // sweep whose marks populate the rings (see lf_iterate.cpp).
@@ -93,11 +106,10 @@ PageRankResult lfFullStep(LfEngineState& state, const CsrGraph& curr,
                         rounds,
                         allConverged,
                         maxRound,
-                        rankUpdates,
+                        counters,
                         resolved,
                         fault,
-                        worklist.get(),
-                        &counters};
+                        worklist.get()};
   const Stopwatch timer;
   team.run([&](int tid) {
     if (fault != nullptr && fault->crashed(tid)) return;
@@ -106,15 +118,10 @@ PageRankResult lfFullStep(LfEngineState& state, const CsrGraph& curr,
   // Absorb flags re-marked by workers that were still in flight when the
   // convergence scan passed (termination protocol, part 3).
   lfFinishSequential(shared);
+  PageRankResult result;
   result.timeMs = timer.elapsedMs();
-
-  // The flags, not allConverged, are the authority: the finish pass can
-  // itself hit the round cap and leave the run honestly unconverged.
-  finishResult(result, resolved, state.notConverged.allZero());
-  result.iterations = maxRound.load();
-  result.rankUpdates = rankUpdates.load();
-  result.protocolStats = counters.snapshot();
-  if (worklist) result.protocolStats.ringPushes = worklist->pushes();
+  finishResult(result, resolved, state.notConverged.allZero(), maxRound,
+               counters, worklist.get());
   return result;
 }
 
@@ -123,27 +130,10 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
                              const PageRankOptions& opt, FaultInjector* fault,
                              bool traverse, bool expandFrontier,
                              const char* name) {
+  checkStepInputs(prev, curr, batch, state.size(), name);
   const std::size_t n = curr.numVertices();
-  if (state.size() != n)
-    throw std::invalid_argument(std::string(name) +
-                                ": prevRanks size must match graph");
-  if (prev.numVertices() != curr.numVertices())
-    throw std::invalid_argument(
-        std::string(name) +
-        ": snapshots must share the vertex set (no vertex insertions/deletions)");
-  for (const Edge& e : batch.deletions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
-  for (const Edge& e : batch.insertions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
 
-  PageRankResult result;
-  if (n == 0) {
-    result.converged = true;
-    result.toleranceBound = asyncToleranceBound(opt.tolerance, opt.alpha);
-    return result;
-  }
+  if (n == 0) return emptyGraphResult(opt);
 
   ThreadTeam team(opt.numThreads);
   PageRankOptions resolved = opt;
@@ -169,8 +159,7 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
                         static_cast<std::size_t>(resolved.maxIterations));
   std::atomic<bool> allConverged{false};
   std::atomic<int> maxRound{0};
-  std::atomic<std::uint64_t> rankUpdates{0};
-  ProtocolCounters counters;
+  StepCounterSlots counters(team.size());
 
   // DT/DF worklist solves are ring-seeded by the marking phase and start
   // in the sparse (ring-driven) phase directly.
@@ -188,11 +177,10 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
                          rounds,
                          allConverged,
                          maxRound,
-                         rankUpdates,
+                         counters,
                          resolved,
                          fault,
-                         worklist.get(),
-                         &counters};
+                         worklist.get()};
   const Stopwatch timer;
   team.run([&](int tid) {
     if (fault != nullptr && fault->crashed(tid)) return;
@@ -201,26 +189,20 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
                           state.affected, state.notConverged,
                           chunkFlagsPtr,  resolved.chunkSize,
                           markCursor, traverse,
-                          fault,      worklist.get(),
-                          &counters};
-    if (!markAffectedWorker(mark, tid)) return;  // crashed mid-marking
+                          fault,      worklist.get()};
+    if (!markAffectedWorker(mark, tid, counters[tid])) return;  // crashed
     lfIterateWorker(iterate, tid);
   });
   // Absorb flags re-marked by workers that were still in flight when the
   // convergence scan passed (termination protocol, part 3).
   lfFinishSequential(iterate);
+  PageRankResult result;
   result.timeMs = timer.elapsedMs();
-
-  // The flags, not allConverged, are the authority: the finish pass can
-  // itself hit the round cap and leave the run honestly unconverged.
   finishResult(result, resolved,
                chunkFlagsPtr != nullptr ? chunkFlags.allZero()
-                                        : state.notConverged.allZero());
-  result.iterations = maxRound.load();
-  result.rankUpdates = rankUpdates.load();
+                                        : state.notConverged.allZero(),
+               maxRound, counters, worklist.get());
   result.affectedVertices = state.affected.countNonZero();
-  result.protocolStats = counters.snapshot();
-  if (worklist) result.protocolStats.ringPushes = worklist->pushes();
   return result;
 }
 
@@ -228,27 +210,10 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
                                const CsrGraph& curr, const BatchUpdate& batch,
                                const PageRankOptions& opt, FaultInjector* fault,
                                const char* name) {
+  checkStepInputs(prev, curr, batch, state.size(), name);
   const std::size_t n = curr.numVertices();
-  if (state.size() != n)
-    throw std::invalid_argument(std::string(name) +
-                                ": prevRanks size must match graph");
-  if (prev.numVertices() != curr.numVertices())
-    throw std::invalid_argument(
-        std::string(name) +
-        ": snapshots must share the vertex set (no vertex insertions/deletions)");
-  for (const Edge& e : batch.deletions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
-  for (const Edge& e : batch.insertions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
 
-  PageRankResult result;
-  if (n == 0) {
-    result.converged = true;
-    result.toleranceBound = asyncToleranceBound(opt.tolerance, opt.alpha);
-    return result;
-  }
+  if (n == 0) return emptyGraphResult(opt);
 
   ThreadTeam team(opt.numThreads);
   PageRankOptions resolved = opt;
@@ -274,8 +239,7 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
   ChunkCursor seedCursor(n, resolved.chunkSize);
   std::atomic<bool> allConverged{false};
   std::atomic<int> maxRound{0};
-  std::atomic<std::uint64_t> rankUpdates{0};
-  ProtocolCounters counters;
+  StepCounterSlots counters(team.size());
 
   // Delta-push is worklist-driven by construction; the DF marking phase
   // seeds the rings, so the solve starts sparse like any DT/DF worklist
@@ -286,9 +250,8 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
   const DeltaPushShared shared{curr,        state.ranks, residual,
                                state.notConverged,       state.affected,
                                seedDone,    seedCursor,  allConverged,
-                               maxRound,    rankUpdates, resolved,
-                               fault,       worklist,    quiescence,
-                               &counters};
+                               maxRound,    counters,    resolved,
+                               fault,       worklist,    quiescence};
   const Stopwatch timer;
   // Phase A: DF marking, then residual seeding against the still-frozen
   // ranks. The helping rescans inside both workers mean a returning
@@ -301,9 +264,8 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
                           state.affected, state.notConverged,
                           /*chunkFlags=*/nullptr, resolved.chunkSize,
                           markCursor, /*traverse=*/false,
-                          fault,      &worklist,
-                          &counters};
-    if (!markAffectedWorker(mark, tid)) return;  // crashed mid-marking
+                          fault,      &worklist};
+    if (!markAffectedWorker(mark, tid, counters[tid])) return;  // crashed
     seedResidualWorker(shared, tid);
   });
   seedResidualRepair(shared);
@@ -318,23 +280,12 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
   // Absorb flags re-marked by drains that were still in flight when the
   // convergence scan passed (termination protocol, part 3).
   deltaPushFinishSequential(shared);
+  PageRankResult result;
   result.timeMs = timer.elapsedMs();
-
-  // The flags, not allConverged, are the authority — as everywhere else.
-  finishResult(result, resolved, state.notConverged.allZero());
-  if (result.converged && resolved.pushRelativeTolerance > 0.0) {
-    // Relative-threshold certificate: ranks never exceed 1, so parked
-    // |residual| <= tolerance + pushRelativeTolerance everywhere.
-    result.toleranceBound = asyncToleranceBound(
-        resolved.tolerance + resolved.pushRelativeTolerance, resolved.alpha);
-  }
+  finishResult(result, resolved, state.notConverged.allZero(), maxRound,
+               counters, &worklist);
   state.residualValid = result.converged;
-  result.iterations = maxRound.load();
-  result.rankUpdates = rankUpdates.load();
   result.affectedVertices = state.affected.countNonZero();
-  result.protocolStats = counters.snapshot();
-  result.protocolStats.ringPushes = worklist.pushes();
-  result.protocolStats.activations = worklist.activations();
   return result;
 }
 

@@ -88,6 +88,19 @@ struct LfEngineState {
   bool monteCarloValid = false;
 };
 
+/// Throws std::out_of_range("<name>: batch edge out of range") when an
+/// edge of `batch` names a vertex outside [0, numVertices).
+void checkBatchEdges(const BatchUpdate& batch, std::size_t numVertices,
+                     const char* name);
+
+/// The input checks every batch step shares: `numRanks` (the warm rank
+/// vector) and the prev/curr snapshots must all cover the same vertex
+/// set (std::invalid_argument), and the batch must stay inside it
+/// (checkBatchEdges). Errors are labelled with `name`.
+void checkStepInputs(const CsrGraph& prev, const CsrGraph& curr,
+                     const BatchUpdate& batch, std::size_t numRanks,
+                     const char* name);
+
 /// One full solve step: every vertex starts unconverged, state.ranks is
 /// the seed. Returns the usual engine result minus the rank copy
 /// (result.ranks empty; ranks live in state). `curr.numVertices()` must

@@ -125,20 +125,11 @@ namespace lfpr::detail {
 
 namespace {
 
-/// Service lifecycle hook (PageRankOptions::stopRequested): a cooperative
-/// stop is observed at the same boundaries as global convergence. The
-/// flags stay the authority for `converged`, so a stopped run reports
-/// honestly unconverged flags rather than a fake fixpoint.
-bool stopSeen(const LfShared& s) noexcept {
-  return s.opt.stopRequested != nullptr &&
-         s.opt.stopRequested->load(std::memory_order_relaxed);
-}
-
 /// Loop-exit test shared by every scheduling loop: global convergence or
-/// a cooperative stop request. Both end the solve at the next chunk/round
-/// boundary.
+/// a cooperative stop request (common.hpp stopSeen). Both end the solve
+/// at the next chunk/round boundary.
 bool exitLoops(const LfShared& s) noexcept {
-  return s.allConverged.load(std::memory_order_relaxed) || stopSeen(s);
+  return s.allConverged.load(std::memory_order_relaxed) || stopSeen(s.opt);
 }
 
 // Always RMW, never "skip because it already reads 1": a marker that
@@ -151,18 +142,26 @@ bool exitLoops(const LfShared& s) noexcept {
 void markUnconverged(const LfShared& s, VertexId w) {
   markVertexUnconverged(s.notConverged, s.chunkFlags, s.opt.chunkSize, w,
                         s.worklist);
-  LFPR_COUNT(s.stats, flagRmws, s.chunkFlags != nullptr ? 2 : 1);
+}
+
+/// Count `marks` markUnconverged calls: one flag RMW each, two under the
+/// per-chunk ablation. Out-list loops count once after the loop, which
+/// keeps the counter's load-add-store off the per-edge path.
+void countMarks(const LfShared& s, StepCounters& cnt, std::size_t marks) {
+  cnt.flagRmws += s.chunkFlags != nullptr ? 2 * marks : marks;
 }
 
 /// Dynamic Frontier expansion: v's rank moved by more than tau_f, so its
 /// out-neighbours become affected and unconverged. The caller has already
 /// published v's new rank, so the release marks carry it (part 1 above).
 ///
-void expandFrontier(const LfShared& s, VertexId v) {
-  for (VertexId w : s.graph.out(v)) {
+void expandFrontier(const LfShared& s, StepCounters& cnt, VertexId v) {
+  const auto out = s.graph.out(v);
+  for (VertexId w : out) {
     markAffected(*s.affected, w);
     markUnconverged(s, w);
   }
+  countMarks(s, cnt, out.size());
 }
 
 /// Worklist wakeup for the non-DF engines: v's rank moved enough that its
@@ -173,39 +172,42 @@ void expandFrontier(const LfShared& s, VertexId v) {
 /// re-pulls every (affected) vertex each sweep; the worklist only
 /// re-pulls what is marked, so the marks themselves must carry the
 /// dependency wakeups.
-void propagateUnconverged(const LfShared& s, VertexId v) {
-  for (VertexId w : s.graph.out(v)) markUnconverged(s, w);
+void propagateUnconverged(const LfShared& s, StepCounters& cnt, VertexId v) {
+  const auto out = s.graph.out(v);
+  for (VertexId w : out) markUnconverged(s, w);
+  countMarks(s, cnt, out.size());
 }
 
 /// Out-neighbour wakeup after publishing v with delta dr: DF expansion
 /// when enabled, plain worklist propagation otherwise. Shares the
 /// frontier tolerance — the same "a change this small no longer matters
 /// downstream" threshold the DF error analysis rests on (Section 4.5).
-void wakeNeighbours(const LfShared& s, VertexId v, double dr, double tauF) {
+void wakeNeighbours(const LfShared& s, StepCounters& cnt, VertexId v,
+                    double dr, double tauF) {
   if (dr <= tauF) return;
   if (s.expandFrontier)
-    expandFrontier(s, v);
+    expandFrontier(s, cnt, v);
   else if (s.worklist != nullptr)
-    propagateUnconverged(s, v);
+    propagateUnconverged(s, cnt, v);
 }
 
 /// Pull-update vertex v once and maintain its convergence flags per the
 /// protocol above.
-void updateVertex(const LfShared& s, VertexId v, double alpha, double base,
-                  std::uint64_t& updates, bool& anyUnconverged) {
+void updateVertex(const LfShared& s, StepCounters& cnt, VertexId v,
+                  double alpha, double base, bool& anyUnconverged) {
   const double tau = s.opt.tolerance;
   const double tauF = s.opt.frontierTolerance;
 
   const double r = pullRank(s.graph, s.ranks, v, alpha, base);
   const double dr = std::fabs(r - s.ranks.exchange(v, r));
-  ++updates;
-  LFPR_COUNT(s.stats, rankPublishes, 1);
+  ++cnt.rankUpdates;
 
-  wakeNeighbours(s, v, dr, tauF);
+  wakeNeighbours(s, cnt, v, dr, tauF);
 
   if (dr > tau) {
     anyUnconverged = true;
     markUnconverged(s, v);
+    countMarks(s, cnt, 1);
   } else if (s.notConverged.load(v) == 1) {
     // Clear-then-reverify (part 1), entered only when this pull's delta is
     // already within tau. The acquire exchange makes every rank write
@@ -216,17 +218,17 @@ void updateVertex(const LfShared& s, VertexId v, double alpha, double base,
     // between our load and our RMW — reverify duty travelled with ITS
     // clear, and any mark after that clear would have made our exchange
     // return 1.
-    LFPR_COUNT(s.stats, flagRmws, 1);
+    ++cnt.flagRmws;
     if (s.notConverged.exchange(v, 0, std::memory_order_acquire) != 0) {
       const double r2 = pullRank(s.graph, s.ranks, v, alpha, base);
       const double dr2 = std::fabs(r2 - s.ranks.exchange(v, r2));
-      ++updates;
-      LFPR_COUNT(s.stats, rankPublishes, 1);
-      LFPR_COUNT(s.stats, rePulls, 1);
-      wakeNeighbours(s, v, dr2, tauF);
+      ++cnt.rankUpdates;
+      ++cnt.rePulls;
+      wakeNeighbours(s, cnt, v, dr2, tauF);
       if (dr2 > tau) {
         anyUnconverged = true;
         markUnconverged(s, v);
+        countMarks(s, cnt, 1);
       }
     }
   }
@@ -238,39 +240,41 @@ void updateVertex(const LfShared& s, VertexId v, double alpha, double base,
 /// handling — release marks, acquire clear-then-reverify — is identical;
 /// only the rank publish is a plain relaxed store whose pre-load is the
 /// value actually overwritten.
-void updateOwnedVertexDiet(const LfShared& s, VertexId v, double alpha,
-                           double base, std::uint64_t& updates) {
+void updateOwnedVertexDiet(const LfShared& s, StepCounters& cnt, VertexId v,
+                           double alpha, double base) {
   const double tau = s.opt.tolerance;
   const double tauF = s.opt.frontierTolerance;
 
   const double r = pullRank(s.graph, s.ranks, v, alpha, base);
   const double dr = std::fabs(r - s.ranks.load(v));
   s.ranks.store(v, r);
-  ++updates;
-  LFPR_COUNT(s.stats, rankPublishes, 1);
+  ++cnt.rankUpdates;
 
-  wakeNeighbours(s, v, dr, tauF);
+  wakeNeighbours(s, cnt, v, dr, tauF);
 
   if (dr > tau) {
     markUnconverged(s, v);
+    countMarks(s, cnt, 1);
   } else if (s.notConverged.load(v) == 1) {
-    LFPR_COUNT(s.stats, flagRmws, 1);
+    ++cnt.flagRmws;
     if (s.notConverged.exchange(v, 0, std::memory_order_acquire) != 0) {
       const double r2 = pullRank(s.graph, s.ranks, v, alpha, base);
       const double dr2 = std::fabs(r2 - s.ranks.load(v));
       s.ranks.store(v, r2);
-      ++updates;
-      LFPR_COUNT(s.stats, rankPublishes, 1);
-      LFPR_COUNT(s.stats, rePulls, 1);
-      wakeNeighbours(s, v, dr2, tauF);
-      if (dr2 > tau) markUnconverged(s, v);
+      ++cnt.rankUpdates;
+      ++cnt.rePulls;
+      wakeNeighbours(s, cnt, v, dr2, tauF);
+      if (dr2 > tau) {
+        markUnconverged(s, v);
+        countMarks(s, cnt, 1);
+      }
     }
   }
 }
 
 /// Process vertices [begin, end); returns false if this thread crashed.
-bool processRange(const LfShared& s, int tid, std::size_t begin, std::size_t end,
-                  std::uint64_t& updates, bool& anyUnconverged) {
+bool processRange(const LfShared& s, StepCounters& cnt, int tid,
+                  std::size_t begin, std::size_t end, bool& anyUnconverged) {
   const double alpha = s.opt.alpha;
   const double base =
       (1.0 - alpha) / static_cast<double>(s.graph.numVertices());
@@ -278,7 +282,7 @@ bool processRange(const LfShared& s, int tid, std::size_t begin, std::size_t end
   for (std::size_t i = begin; i < end; ++i) {
     const auto v = static_cast<VertexId>(i);
     if (s.affected != nullptr && s.affected->load(v) == 0) continue;
-    updateVertex(s, v, alpha, base, updates, anyUnconverged);
+    updateVertex(s, cnt, v, alpha, base, anyUnconverged);
     if (s.fault != nullptr && !s.fault->onVertexProcessed(tid)) return false;
   }
   return true;
@@ -289,9 +293,10 @@ bool processRange(const LfShared& s, int tid, std::size_t begin, std::size_t end
 /// with any release mark it overwrites, so the rescan observes the
 /// per-vertex flag that marker set first (markUnconverged orders the
 /// vertex flag before the chunk flag).
-void clearChunkFlagAndReverify(const LfShared& s, std::size_t c) {
+void clearChunkFlagAndReverify(const LfShared& s, StepCounters& cnt,
+                               std::size_t c) {
   if (s.chunkFlags->load(c) == 0) return;
-  LFPR_COUNT(s.stats, flagRmws, 1);
+  ++cnt.flagRmws;
   s.chunkFlags->exchange(c, 0, std::memory_order_acquire);
   const std::size_t n = s.graph.numVertices();
   const std::size_t b = c * s.opt.chunkSize;
@@ -312,13 +317,13 @@ bool flagsAllZeroFrom(const LfShared& s, std::size_t& scanHint) {
 /// Process one worklist vertex: the diet path when this thread may
 /// plain-store-publish it (it owns the vertex and no fault injector is
 /// active), the full exchange protocol otherwise.
-void processWorklistVertex(const LfShared& s, VertexId v, bool diet,
-                           double alpha, double base, std::uint64_t& updates) {
+void processWorklistVertex(const LfShared& s, StepCounters& cnt, VertexId v,
+                           bool diet, double alpha, double base) {
   if (diet) {
-    updateOwnedVertexDiet(s, v, alpha, base, updates);
+    updateOwnedVertexDiet(s, cnt, v, alpha, base);
   } else {
     bool anyUnconverged = false;
-    updateVertex(s, v, alpha, base, updates, anyUnconverged);
+    updateVertex(s, cnt, v, alpha, base, anyUnconverged);
   }
 }
 
@@ -369,7 +374,7 @@ void lfWorklistWorker(const LfShared& s, int tid) {
   // scheduler (where one round lets a thread process up to n vertices),
   // so maxIterations bounds the same total work in both modes.
   const std::size_t budget = std::max<std::size_t>(n, 1);
-  std::uint64_t updates = 0;
+  StepCounters& cnt = s.counters[tid];
   std::size_t scanHint = 0;
 
   int round = 0;
@@ -383,10 +388,8 @@ void lfWorklistWorker(const LfShared& s, int tid) {
     while (!exitLoops(s) &&
            s.rounds.next(static_cast<std::size_t>(round), begin, end)) {
       bool anyUnconverged = false;
-      if (!processRange(s, tid, begin, end, updates, anyUnconverged)) {
-        s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
+      if (!processRange(s, cnt, tid, begin, end, anyUnconverged))
         return;  // crashed
-      }
       wl.noteProgress(end - begin);
     }
     ++round;
@@ -413,16 +416,14 @@ void lfWorklistWorker(const LfShared& s, int tid) {
     VertexId v = 0;
     while (pops < budget && wl.tryPop(tid, v)) {
       ++pops;
-      processWorklistVertex(s, v, diet, alpha, base, updates);
+      processWorklistVertex(s, cnt, v, diet, alpha, base);
       // Heartbeat every 64 pops, not just at drain end: a drain can run
       // up to `budget` = n pops, and a quiescent peer that samples the
       // counter across a yield without seeing it move would misread this
       // healthy owner as orphaned and start a competing recovery sweep.
       if ((pops & 63u) == 0) wl.noteProgress(64);
-      if (s.fault != nullptr && !s.fault->onVertexProcessed(tid)) {
-        s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
+      if (s.fault != nullptr && !s.fault->onVertexProcessed(tid))
         return;  // crashed
-      }
     }
     if ((pops & 63u) != 0) wl.noteProgress(pops & 63u);
     if (pops >= budget) {
@@ -439,13 +440,11 @@ void lfWorklistWorker(const LfShared& s, int tid) {
     std::size_t i = oBegin;
     while ((i = s.notConverged.firstNonZero(i, oEnd)) < oEnd) {
       dirt = true;
-      processWorklistVertex(s, static_cast<VertexId>(i), diet, alpha, base,
-                            updates);
+      processWorklistVertex(s, cnt, static_cast<VertexId>(i), diet, alpha,
+                            base);
       wl.noteProgress(1);  // same heartbeat rationale as the drain loop
-      if (s.fault != nullptr && !s.fault->onVertexProcessed(tid)) {
-        s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
+      if (s.fault != nullptr && !s.fault->onVertexProcessed(tid))
         return;  // crashed
-      }
       ++i;
     }
     if (dirt || pops > 0) {
@@ -482,12 +481,10 @@ void lfWorklistWorker(const LfShared& s, int tid) {
     std::size_t helped = 0;
     while (helped < budget && wl.trySteal(tid, v)) {
       ++helped;
-      processWorklistVertex(s, v, /*diet=*/false, alpha, base, updates);
+      processWorklistVertex(s, cnt, v, /*diet=*/false, alpha, base);
       wl.noteProgress(1);  // heartbeat: don't look stalled to other helpers
-      if (s.fault != nullptr && !s.fault->onVertexProcessed(tid)) {
-        s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
+      if (s.fault != nullptr && !s.fault->onVertexProcessed(tid))
         return;  // crashed
-      }
     }
     bool swept = false;
     std::size_t begin = 0, end = 0;
@@ -495,10 +492,8 @@ void lfWorklistWorker(const LfShared& s, int tid) {
            s.rounds.next(static_cast<std::size_t>(round), begin, end)) {
       swept = true;
       bool anyUnconverged = false;
-      if (!processRange(s, tid, begin, end, updates, anyUnconverged)) {
-        s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
+      if (!processRange(s, cnt, tid, begin, end, anyUnconverged))
         return;  // crashed
-      }
       wl.noteProgress(end - begin);
     }
     if (helped > 0 || swept) {
@@ -513,7 +508,6 @@ void lfWorklistWorker(const LfShared& s, int tid) {
     // honest — the flags are still the authority).
     ++round;
   }
-  s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -524,7 +518,7 @@ void lfIterateWorker(const LfShared& s, int tid) {
     return;
   }
   const std::size_t n = s.graph.numVertices();
-  std::uint64_t updates = 0;
+  StepCounters& cnt = s.counters[tid];
   std::size_t scanHint = 0;  // resume point for this thread's convergence scans
   const int maxRounds = s.opt.maxIterations;
 
@@ -545,29 +539,25 @@ void lfIterateWorker(const LfShared& s, int tid) {
 
     if (s.opt.staticSchedule) {
       bool anyUnconverged = false;
-      if (!processRange(s, tid, stripeBegin, stripeEnd, updates, anyUnconverged)) {
-        s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
+      if (!processRange(s, cnt, tid, stripeBegin, stripeEnd, anyUnconverged))
         return;  // crashed
-      }
       // Chunk-by-chunk clear-then-reverify. The seed's wholesale stripe
       // clear could wipe chunks a concurrent frontier expansion had just
       // re-marked — the chunk-granularity variant of the lost wakeup.
       if (s.chunkFlags != nullptr && !anyUnconverged && stripeEnd > stripeBegin) {
         for (std::size_t c = stripeBegin / s.opt.chunkSize;
              c <= (stripeEnd - 1) / s.opt.chunkSize; ++c)
-          clearChunkFlagAndReverify(s, c);
+          clearChunkFlagAndReverify(s, cnt, c);
       }
     } else {
       std::size_t begin = 0, end = 0;
       while (!exitLoops(s) &&
              s.rounds.next(static_cast<std::size_t>(round), begin, end)) {
         bool anyUnconverged = false;
-        if (!processRange(s, tid, begin, end, updates, anyUnconverged)) {
-          s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
+        if (!processRange(s, cnt, tid, begin, end, anyUnconverged))
           return;  // crashed
-        }
         if (s.chunkFlags != nullptr && !anyUnconverged)
-          clearChunkFlagAndReverify(s, begin / s.opt.chunkSize);
+          clearChunkFlagAndReverify(s, cnt, begin / s.opt.chunkSize);
       }
     }
 
@@ -577,7 +567,6 @@ void lfIterateWorker(const LfShared& s, int tid) {
       break;
     }
   }
-  s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
 }
 
 void lfFinishSequential(const LfShared& s) {
@@ -589,7 +578,7 @@ void lfFinishSequential(const LfShared& s) {
   const std::size_t n = s.graph.numVertices();
   const double alpha = s.opt.alpha;
   const double base = (1.0 - alpha) / static_cast<double>(n);
-  std::uint64_t updates = 0;
+  StepCounters& cnt = s.counters.sequential();
   std::size_t scanHint = 0;
 
   // The pass spends what is left of the run's iteration budget (usually
@@ -603,23 +592,23 @@ void lfFinishSequential(const LfShared& s) {
   for (int round = 0; round < budget; ++round) {
     // A stop request ends the finish pass too; dirty flags then keep the
     // result honestly unconverged.
-    if (stopSeen(s)) break;
+    if (stopSeen(s.opt)) break;
     if (flagsAllZeroFrom(s, scanHint)) break;
     bool anyUnconverged = false;
     for (std::size_t i = 0; i < n; ++i) {
       const auto v = static_cast<VertexId>(i);
       if (s.affected != nullptr && s.affected->load(v) == 0) continue;
-      updateVertex(s, v, alpha, base, updates, anyUnconverged);
+      updateVertex(s, cnt, v, alpha, base, anyUnconverged);
     }
     if (s.chunkFlags != nullptr && !anyUnconverged) {
       const std::size_t numChunks = (n + s.opt.chunkSize - 1) / s.opt.chunkSize;
-      for (std::size_t c = 0; c < numChunks; ++c) clearChunkFlagAndReverify(s, c);
+      for (std::size_t c = 0; c < numChunks; ++c)
+        clearChunkFlagAndReverify(s, cnt, c);
     }
     ++roundsDone;
   }
   if (roundsDone > 0)
     s.maxRound.fetch_add(roundsDone, std::memory_order_relaxed);
-  s.rankUpdates.fetch_add(updates, std::memory_order_relaxed);
 }
 
 }  // namespace lfpr::detail

@@ -16,7 +16,7 @@
 
 #include "graph/csr.hpp"
 #include "pagerank/atomics.hpp"
-#include "pagerank/detail/stats.hpp"
+#include "pagerank/detail/step_counters.hpp"
 #include "pagerank/options.hpp"
 #include "sched/chunk_cursor.hpp"
 #include "sched/fault.hpp"
@@ -45,15 +45,15 @@ struct LfShared {
   RoundCursorSet& rounds;
   std::atomic<bool>& allConverged;
   std::atomic<int>& maxRound;
-  std::atomic<std::uint64_t>& rankUpdates;
+  /// Worker tid counts into counters[tid], the finish pass into
+  /// counters.sequential().
+  StepCounterSlots& counters;
   const PageRankOptions& opt;
   FaultInjector* fault = nullptr;
   /// Non-null when opt.scheduling == SchedulingMode::Worklist: the
   /// per-thread dirty-vertex rings that replace the dense chunked sweep
   /// (see the worklist + publish-diet note in lf_iterate.cpp).
   WorklistScheduler* worklist = nullptr;
-  /// Protocol-cost counters (LFPR_STATS builds; ignored otherwise).
-  ProtocolCounters* stats = nullptr;
 };
 
 /// Body executed by each worker thread (tid) until convergence, crash, or

@@ -13,11 +13,11 @@ namespace {
 // iterating (and clearing flags), so marking participates in the same
 // release-sequence protocol as the frontier expansion — see the
 // termination-protocol comment in lf_iterate.cpp.
-void markVertex(const MarkShared& s, VertexId w) {
+void markVertex(const MarkShared& s, StepCounters& cnt, VertexId w) {
   s.affected.store(w, 1);
   markVertexUnconverged(s.notConverged, s.chunkFlags, s.chunkSize, w,
                         s.worklist);
-  LFPR_COUNT(s.stats, flagRmws, s.chunkFlags != nullptr ? 2 : 1);
+  cnt.flagRmws += s.chunkFlags != nullptr ? 2 : 1;
 }
 
 /// Iterative DFS over the current graph marking every reachable vertex.
@@ -26,20 +26,21 @@ void markVertex(const MarkShared& s, VertexId w) {
 /// thread-local visited set (used in helping rescans so a crashed
 /// marker's half-done traversal can never hide vertices; see Section 4.4
 /// — helping threads re-execute work rather than wait for it).
-void visitDfs(const MarkShared& s, VertexId start, std::vector<VertexId>& stack,
+void visitDfs(const MarkShared& s, StepCounters& cnt, VertexId start,
+              std::vector<VertexId>& stack,
               std::vector<std::uint8_t>* localVisited) {
   auto tryClaim = [&](VertexId w) -> bool {
     if (localVisited != nullptr) {
       if ((*localVisited)[w] != 0) return false;
       (*localVisited)[w] = 1;
-      markVertex(s, w);
+      markVertex(s, cnt, w);
       return true;
     }
     const bool first = s.affected.exchange(w, 1) == 0;
     if (first) {
       markVertexUnconverged(s.notConverged, s.chunkFlags, s.chunkSize, w,
                             s.worklist);
-      LFPR_COUNT(s.stats, flagRmws, s.chunkFlags != nullptr ? 2 : 1);
+      cnt.flagRmws += s.chunkFlags != nullptr ? 2 : 1;
     }
     return first;
   };
@@ -57,19 +58,19 @@ void visitDfs(const MarkShared& s, VertexId start, std::vector<VertexId>& stack,
 
 /// Mark everything required for batch source u, then publish via the
 /// checked flag. Returns false if this thread crashed mid-way.
-bool processSource(const MarkShared& s, int tid, VertexId u,
+bool processSource(const MarkShared& s, StepCounters& cnt, int tid, VertexId u,
                    std::vector<VertexId>& stack,
                    std::vector<std::uint8_t>* localVisited) {
   if (s.checked.load(u, std::memory_order_acquire) == 1) return true;
 
   if (s.traverse) {
     if (u < s.prev.numVertices())
-      for (VertexId w : s.prev.out(u)) visitDfs(s, w, stack, localVisited);
-    for (VertexId w : s.curr.out(u)) visitDfs(s, w, stack, localVisited);
+      for (VertexId w : s.prev.out(u)) visitDfs(s, cnt, w, stack, localVisited);
+    for (VertexId w : s.curr.out(u)) visitDfs(s, cnt, w, stack, localVisited);
   } else {
     if (u < s.prev.numVertices())
-      for (VertexId w : s.prev.out(u)) markVertex(s, w);
-    for (VertexId w : s.curr.out(u)) markVertex(s, w);
+      for (VertexId w : s.prev.out(u)) markVertex(s, cnt, w);
+    for (VertexId w : s.curr.out(u)) markVertex(s, cnt, w);
   }
   // Release so a thread that observes checked == 1 also observes every
   // mark above (phase-2 readers and helping scanners).
@@ -80,7 +81,7 @@ bool processSource(const MarkShared& s, int tid, VertexId u,
 
 }  // namespace
 
-bool markAffectedWorker(const MarkShared& s, int tid) {
+bool markAffectedWorker(const MarkShared& s, int tid, StepCounters& cnt) {
   std::vector<VertexId> stack;
   std::vector<std::uint8_t> localVisited;
 
@@ -98,7 +99,7 @@ bool markAffectedWorker(const MarkShared& s, int tid) {
   std::size_t begin = 0, end = 0;
   while (s.cursor.next(begin, end)) {
     for (std::size_t i = begin; i < end; ++i)
-      if (!processSource(s, tid, s.edges[i].src, stack,
+      if (!processSource(s, cnt, tid, s.edges[i].src, stack,
                          faultMode ? &localVisited : nullptr))
         return false;
   }
@@ -113,7 +114,7 @@ bool markAffectedWorker(const MarkShared& s, int tid) {
         allChecked = false;
         if (s.traverse && localVisited.empty())
           localVisited.assign(s.curr.numVertices(), 0);
-        if (!processSource(s, tid, e.src, stack,
+        if (!processSource(s, cnt, tid, e.src, stack,
                            s.traverse ? &localVisited : nullptr))
           return false;
       }

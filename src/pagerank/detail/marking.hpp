@@ -16,7 +16,7 @@
 
 #include "graph/csr.hpp"
 #include "pagerank/atomics.hpp"
-#include "pagerank/detail/stats.hpp"
+#include "pagerank/detail/step_counters.hpp"
 #include "sched/chunk_cursor.hpp"
 #include "sched/fault.hpp"
 #include "sched/work_ring.hpp"
@@ -44,13 +44,12 @@ struct MarkShared {
   /// Worklist scheduling: marks enqueue the vertex onto its owner's
   /// dirty ring (the seeding channel for DT/DF worklist solves).
   WorklistScheduler* worklist = nullptr;
-  /// Protocol-cost counters (LFPR_STATS builds; ignored otherwise).
-  ProtocolCounters* stats = nullptr;
 };
 
-/// Runs the initial-marking phase on the calling worker thread. Returns
-/// false if the thread crashed (fault injection); in that case the
-/// remaining threads complete the marking via the helping rescan.
-bool markAffectedWorker(const MarkShared& shared, int tid);
+/// Runs the initial-marking phase on the calling worker thread, counting
+/// its flag RMWs into `cnt`. Returns false if the thread crashed (fault
+/// injection); in that case the remaining threads complete the marking
+/// via the helping rescan.
+bool markAffectedWorker(const MarkShared& shared, int tid, StepCounters& cnt);
 
 }  // namespace lfpr::detail

@@ -43,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "pagerank/detail/common.hpp"
 #include "pagerank/detail/engine_step.hpp"
 #include "pagerank/error.hpp"
 #include "sched/chunk_cursor.hpp"
@@ -55,23 +56,8 @@ namespace lfpr::detail {
 
 namespace {
 
-/// Batch-edge chunk for the marking loop (matches engine_step.cpp).
-constexpr std::size_t kEdgeChunkSize = 256;
 /// Walk-id chunk for the parallel build.
 constexpr std::size_t kWalkChunkSize = 256;
-
-std::vector<Edge> concatBatch(const BatchUpdate& batch) {
-  std::vector<Edge> edges;
-  edges.reserve(batch.size());
-  edges.insert(edges.end(), batch.deletions.begin(), batch.deletions.end());
-  edges.insert(edges.end(), batch.insertions.begin(), batch.insertions.end());
-  return edges;
-}
-
-bool stopSeen(const PageRankOptions& opt) noexcept {
-  return opt.stopRequested != nullptr &&
-         opt.stopRequested->load(std::memory_order_relaxed);
-}
 
 /// Continue/stop coin: continue while the 53-bit uniform is below alpha.
 bool mcContinues(std::uint64_t draw, double alpha) noexcept {
@@ -661,20 +647,8 @@ PageRankResult lfMonteCarloStep(LfEngineState& state, const CsrGraph& prev,
                                 const CsrGraph& curr, const BatchUpdate& batch,
                                 const PageRankOptions& opt, FaultInjector* fault,
                                 const char* name) {
+  checkStepInputs(prev, curr, batch, state.size(), name);
   const std::size_t n = curr.numVertices();
-  if (state.size() != n)
-    throw std::invalid_argument(std::string(name) +
-                                ": state size must match graph");
-  if (prev.numVertices() != curr.numVertices())
-    throw std::invalid_argument(
-        std::string(name) +
-        ": snapshots must share the vertex set (no vertex insertions/deletions)");
-  for (const Edge& e : batch.deletions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
-  for (const Edge& e : batch.insertions)
-    if (e.src >= curr.numVertices() || e.dst >= curr.numVertices())
-      throw std::out_of_range(std::string(name) + ": batch edge out of range");
 
   const McConfig cfg{opt.mcWalksPerVertex, opt.mcMaxWalkLength, opt.mcSeed,
                      opt.alpha};

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "pagerank/detail/common.hpp"
+#include "pagerank/detail/step_counters.hpp"
 #include "pagerank/error.hpp"
 #include "sched/barrier.hpp"
 #include "sched/chunk_cursor.hpp"
@@ -32,7 +33,7 @@ PageRankResult powerIterateBB(const CsrGraph& g, std::vector<double> init,
   InstrumentedBarrier barrier(numThreads, opt.barrierTimeout);
   ChunkCursor cursor(n, opt.chunkSize);
   std::vector<PaddedDouble> localMax(static_cast<std::size_t>(numThreads));
-  std::vector<PaddedU64> localUpdates(static_cast<std::size_t>(numThreads));
+  StepCounterSlots counters(numThreads);
 
   // Swapped by thread 0 between the two barriers of each iteration; the
   // barriers order the swap against every other thread's accesses.
@@ -50,11 +51,11 @@ PageRankResult powerIterateBB(const CsrGraph& g, std::vector<double> init,
 
   const Stopwatch timer;
   team.run([&](int tid) {
+    std::uint64_t& updates = counters[tid].rankUpdates;
     for (int it = 0; it < opt.maxIterations; ++it) {
       const std::vector<double>& ranks = *cur;
       std::vector<double>& ranksNew = *nxt;
       double threadMax = 0.0;
-      std::uint64_t updates = 0;
 
       std::size_t chunkBegin = 0, chunkEnd = 0;
       while (cursor.next(chunkBegin, chunkEnd)) {
@@ -71,13 +72,11 @@ PageRankResult powerIterateBB(const CsrGraph& g, std::vector<double> init,
           if (fault != nullptr && !fault->onVertexProcessed(tid)) {
             // Crash-stop: this thread silently stops. It never reaches the
             // barrier, so the others will eventually break out via timeout.
-            localUpdates[static_cast<std::size_t>(tid)].value += updates;
             return;
           }
         }
       }
       localMax[static_cast<std::size_t>(tid)].value = threadMax;
-      localUpdates[static_cast<std::size_t>(tid)].value += updates;
 
       if (barrier.arriveAndWait(tid) == InstrumentedBarrier::Status::Broken) {
         brokenFlag.store(true);
@@ -118,7 +117,7 @@ PageRankResult powerIterateBB(const CsrGraph& g, std::vector<double> init,
                               ? syncToleranceBound(opt.tolerance, opt.alpha)
                               : std::numeric_limits<double>::infinity();
   result.waitMs = toMs(barrier.totalWaitTime());
-  for (const PaddedU64& u : localUpdates) result.rankUpdates += u.value;
+  counters.reduceInto(result);
   result.ranks = std::move(*cur);
   return result;
 }

@@ -55,16 +55,6 @@ struct PageRankOptions {
   bool staticSchedule = false;
   /// Work-discovery scheme for the lock-free engines (see SchedulingMode).
   SchedulingMode scheduling = SchedulingMode::Chunked;
-  /// DeltaPush only: Ligra-PRDelta-style relative term of the activation
-  /// threshold. A neighbour is activated when its residual crosses
-  /// `tolerance + pushRelativeTolerance * |rank[v]|`; the default 0 keeps
-  /// the threshold at the absolute per-vertex tau the flag protocol
-  /// already uses, so the §4.5 certificate is the usual
-  /// asyncToleranceBound. A positive value trades certificate tightness
-  /// for fewer activations on high-rank vertices (ranks are bounded by 1,
-  /// so the converged bound becomes asyncToleranceBound(tolerance +
-  /// pushRelativeTolerance, alpha)).
-  double pushRelativeTolerance = 0.0;
   /// MonteCarlo only: R — random-walk segments rooted at every vertex.
   /// Accuracy scales as 1/sqrt(R) (error.hpp mcL1ErrorBound), memory and
   /// build time as R. See the README R/accuracy table.
@@ -92,29 +82,18 @@ struct PageRankOptions {
   const std::atomic<bool>* stopRequested = nullptr;
 };
 
-/// True when the library was built with -DLFPR_STATS=ON and the
-/// PageRankResult::protocolStats counters below are populated.
-inline constexpr bool protocolStatsEnabled() noexcept {
-#if defined(LFPR_STATS)
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// Protocol-cost counters for the lock-free engines, so publish-protocol
-/// costs are diagnosable without perf tools. Counted only when the
-/// LFPR_STATS compile option is on (the fields always exist so the ABI
-/// does not depend on the option); all-zero otherwise, and always zero
-/// for the barrier-based engines.
+/// Protocol-cost counters of the lock-free engines, so publish-protocol
+/// costs are diagnosable without perf tools. Always counted (per worker
+/// thread, summed once per step); always zero for the barrier-based
+/// engines.
 struct ProtocolStats {
-  /// Rank stores/exchanges published to the shared rank vector.
-  std::uint64_t rankPublishes = 0;
-  /// Clear-then-reverify re-pulls (termination protocol part 1).
+  /// Clear-then-reverify re-pulls (termination protocol part 1); for
+  /// DeltaPush, the one seed pull per marked vertex.
   std::uint64_t rePulls = 0;
   /// RMWs on the notConverged / chunk flags (marks and clears).
   std::uint64_t flagRmws = 0;
-  /// Successful dirty-vertex ring pushes (Worklist scheduling only).
+  /// Successful dirty-vertex ring pushes (the engines that run on work
+  /// rings: Worklist scheduling, DeltaPush, MonteCarlo walk claims).
   std::uint64_t ringPushes = 0;
   /// Residual fetch-adds into out-neighbours (DeltaPush only) — the
   /// push-engine analogue of per-edge pull work, so push-vs-pull
@@ -122,8 +101,17 @@ struct ProtocolStats {
   std::uint64_t residualPushes = 0;
   /// Threshold-crossing activations (DeltaPush only): pushes whose
   /// target residual crossed the activation threshold and entered the
-  /// worklist (counted by WorklistScheduler::activate).
+  /// worklist.
   std::uint64_t activations = 0;
+
+  ProtocolStats& operator+=(const ProtocolStats& o) noexcept {
+    rePulls += o.rePulls;
+    flagRmws += o.flagRmws;
+    ringPushes += o.ringPushes;
+    residualPushes += o.residualPushes;
+    activations += o.activations;
+    return *this;
+  }
 };
 
 struct PageRankResult {
@@ -148,7 +136,8 @@ struct PageRankResult {
   double timeMs = 0.0;
   /// Total time threads spent waiting at iteration barriers (BB only).
   double waitMs = 0.0;
-  /// Vertex-rank computations performed across all threads.
+  /// Vertex-rank computations performed across all threads (one per
+  /// rank publish; DeltaPush counts residual drains).
   std::uint64_t rankUpdates = 0;
   /// Vertices marked affected (DF/DT engines).
   std::uint64_t affectedVertices = 0;
@@ -157,7 +146,7 @@ struct PageRankResult {
   /// mcL1ErrorBound(alpha, R) — expected error with a safety factor —
   /// NOT the worst-case §4.5 certificate the exact engines carry.
   bool monteCarlo = false;
-  /// See ProtocolStats — populated only in LFPR_STATS builds.
+  /// See ProtocolStats.
   ProtocolStats protocolStats;
 };
 

@@ -71,7 +71,9 @@ PageRankResult dfLF(const CsrGraph& prev, const CsrGraph& curr, const BatchUpdat
 /// workers forward-push only the changed mass through lock-free
 /// fetch-adds — built for the mid-density batch band where both pull
 /// schedulers do redundant work. opt.scheduling is ignored (the engine
-/// is worklist-driven by construction); see opt.pushRelativeTolerance.
+/// is worklist-driven by construction). A vertex activates when its
+/// residual crosses opt.tolerance, so the usual asyncToleranceBound
+/// certificate holds.
 PageRankResult deltaPush(const CsrGraph& prev, const CsrGraph& curr,
                          const BatchUpdate& batch,
                          std::span<const double> prevRanks,

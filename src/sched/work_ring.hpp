@@ -112,6 +112,11 @@ class WorkRing {
 
   [[nodiscard]] std::size_t capacity() const noexcept { return cells_.size(); }
 
+  /// Successful pushes so far: the tail only advances on one.
+  [[nodiscard]] std::size_t pushed() const noexcept {
+    return tail_.load(std::memory_order_relaxed);
+  }
+
  private:
   struct Cell {
     std::atomic<std::size_t> epoch{0};
@@ -193,13 +198,8 @@ class WorklistScheduler {
   void enqueue(std::size_t v) noexcept {
     if (queued_.fetchOr(v, 1, std::memory_order_relaxed) != 0) return;
     if (!rings_[static_cast<std::size_t>(owner(v))].tryPush(
-            static_cast<VertexId>(v))) {
+            static_cast<VertexId>(v)))
       queued_.store(v, 0);
-      return;
-    }
-#if defined(LFPR_STATS)
-    pushes_.fetch_add(1, std::memory_order_relaxed);
-#endif
   }
 
   /// Pop from this thread's own ring. Clears the dedup flag *before* the
@@ -226,21 +226,18 @@ class WorklistScheduler {
     return false;
   }
 
-  /// Total successful ring pushes (protocol-cost diagnostics; counted
-  /// only in LFPR_STATS builds, zero otherwise).
+  /// Total successful ring pushes, summed from the rings' tails
+  /// (protocol-cost diagnostics; exact once producers are quiescent).
   [[nodiscard]] std::uint64_t pushes() const noexcept {
-    return pushes_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const WorkRing& ring : rings_) total += ring.pushed();
+    return total;
   }
 
-  // Activation-threshold hooks (DeltaPush, PR 8). The push engine does
-  // not mark a neighbour on every residual add — only when the add moved
-  // the residual across the activation threshold. The crossing predicate
-  // and the counted entry point live here so the scheduler owns the
-  // "what enters the worklist" policy in one place.
-
-  /// True when a residual fetch-add moved |residual| from at-or-below the
-  /// threshold to above it. An add on an already-above residual needs no
-  /// new activation (the crossing that got it there marked the vertex,
+  /// DeltaPush activation rule: a push marks its target only when the
+  /// residual fetch-add moved |residual| from at-or-below the threshold
+  /// to above it. An add on an already-above residual needs no new
+  /// activation (the crossing that got it there marked the vertex,
   /// and any clear in between reverifies against the current value —
   /// clear-then-reverify, lf_iterate.cpp part 1); an add that lands
   /// at-or-below needs none either.
@@ -248,21 +245,6 @@ class WorklistScheduler {
                                              double threshold) noexcept {
     return !(before > threshold) && !(before < -threshold) &&
            (after > threshold || after < -threshold);
-  }
-
-  /// enqueue() plus the activation counter: the entry point for
-  /// threshold-crossing marks. The caller must have release-marked the
-  /// vertex's notConverged flag first (flags.hpp ordering doctrine).
-  void activate(std::size_t v) noexcept {
-    enqueue(v);
-#if defined(LFPR_STATS)
-    activations_.fetch_add(1, std::memory_order_relaxed);
-#endif
-  }
-
-  /// Total threshold-crossing activations (LFPR_STATS builds only).
-  [[nodiscard]] std::uint64_t activations() const noexcept {
-    return activations_.load(std::memory_order_relaxed);
   }
 
   /// Global progress heartbeat: workers bump it whenever they process
@@ -287,8 +269,6 @@ class WorklistScheduler {
   AtomicU8Vector queued_;
   std::deque<WorkRing> rings_;
   std::atomic<bool> sparse_{false};
-  std::atomic<std::uint64_t> pushes_{0};
-  std::atomic<std::uint64_t> activations_{0};
   alignas(64) std::atomic<std::uint64_t> progress_{0};
 };
 

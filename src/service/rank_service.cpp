@@ -152,17 +152,8 @@ std::unique_ptr<RankSnapshot> RankService::initDurability() {
 
 RankService::~RankService() { stop(); }
 
-void RankService::validateBatch(const BatchUpdate& batch) const {
-  for (const Edge& e : batch.deletions)
-    if (e.src >= numVertices_ || e.dst >= numVertices_)
-      throw std::out_of_range("RankService: batch edge out of range");
-  for (const Edge& e : batch.insertions)
-    if (e.src >= numVertices_ || e.dst >= numVertices_)
-      throw std::out_of_range("RankService: batch edge out of range");
-}
-
 bool RankService::submit(BatchUpdate batch) {
-  validateBatch(batch);
+  detail::checkBatchEdges(batch, numVertices_, "RankService");
   const std::uint64_t edges = batch.size();
   std::unique_lock<std::mutex> lock(mutex_);
   notFullCv_.wait(lock, [&] {
@@ -176,7 +167,7 @@ bool RankService::submit(BatchUpdate batch) {
 }
 
 bool RankService::trySubmit(BatchUpdate batch) {
-  validateBatch(batch);
+  detail::checkBatchEdges(batch, numVertices_, "RankService");
   const std::uint64_t edges = batch.size();
   std::unique_lock<std::mutex> lock(mutex_);
   if (stopping_ || draining_ || degraded_.load(std::memory_order_relaxed) ||
@@ -311,7 +302,16 @@ ServiceStats RankService::stats() const {
       walkSidecarsQuarantined_.load(std::memory_order_relaxed);
   s.ioFailures = ioFailures_.load(std::memory_order_relaxed);
   s.journalQuarantinedBytes = journal_ ? journal_->quarantinedBytes() : 0;
+  std::lock_guard<std::mutex> lock(solveTotalsMutex_);
+  s.rankUpdates = rankUpdates_;
+  s.protocolStats = protocolStats_;
   return s;
+}
+
+void RankService::accountSolve(const PageRankResult& result) {
+  std::lock_guard<std::mutex> lock(solveTotalsMutex_);
+  rankUpdates_ += result.rankUpdates;
+  protocolStats_ += result.protocolStats;
 }
 
 void RankService::degrade(const std::string& why) {
@@ -497,6 +497,7 @@ bool RankService::stepOnce(std::vector<Pending>&& group) {
                                      opt_.expandFrontier, "service");
     }
   }
+  accountSolve(result);
   if (result.stopped) return false;
 
   // Service-level crash recovery: an unconverged step (crashed workers,
@@ -511,6 +512,7 @@ bool RankService::stepOnce(std::vector<Pending>&& group) {
         solves_.load(std::memory_order_relaxed);  // index nextFault will use
     const auto fault = nextFault();
     result = detail::lfFullStep(state_, curr_, solveOpt, fault.get());
+    accountSolve(result);
     if (opt_.onRecovery) opt_.onRecovery(solveIndex, attempt, result.converged);
     if (result.stopped) return false;
   }

@@ -193,6 +193,11 @@ struct ServiceStats {
   std::uint64_t failedSteps = 0;
   std::uint64_t reclaimedSnapshots = 0;
   std::size_t retiredSnapshots = 0;
+  /// Engine work summed over every solve the ingest thread ran, recovery
+  /// re-solves and unpublished steps included: PageRankResult::
+  /// rankUpdates and ProtocolStats, added once per solve.
+  std::uint64_t rankUpdates = 0;
+  ProtocolStats protocolStats;
 
   // Durability (all 0 when DurabilityOptions is off).
   std::uint64_t journaledBatches = 0;
@@ -329,7 +334,8 @@ class RankService {
   [[nodiscard]] bool useDeltaPush(const BatchUpdate& merged) const;
   [[nodiscard]] bool useMonteCarlo() const noexcept;
   void publishConverged(const PageRankResult& result);
-  void validateBatch(const BatchUpdate& batch) const;
+  /// Add one solve's engine counters to the cumulative totals.
+  void accountSolve(const PageRankResult& result);
   [[nodiscard]] std::unique_ptr<FaultInjector> nextFault();
 
   // Durability path (no-ops when opt_.durability is off).
@@ -396,6 +402,11 @@ class RankService {
   std::atomic<std::uint64_t> walkResumes_{0};
   std::atomic<std::uint64_t> walkSidecarsQuarantined_{0};
   std::atomic<std::uint64_t> ioFailures_{0};
+  // Cumulative engine counters (accountSolve). A mutex, not atomics, so
+  // stats() reads them as one set that ends on a solve boundary.
+  mutable std::mutex solveTotalsMutex_;
+  std::uint64_t rankUpdates_ = 0;
+  ProtocolStats protocolStats_;
 
   std::thread ingest_;
 };

@@ -8,6 +8,7 @@
 #include "generate/batch_gen.hpp"
 #include "generate/generators.hpp"
 #include "harness/scenario.hpp"
+#include "pagerank/detail/engine_step.hpp"
 #include "pagerank/pagerank.hpp"
 #include "util/rng.hpp"
 
@@ -289,19 +290,27 @@ TEST(WorklistScheduling, SequenceOfBatchesStaysAccurate) {
   }
 }
 
-TEST(WorklistScheduling, ProtocolStatsCountRingPushesWhenEnabled) {
+TEST(WorklistScheduling, ProtocolStatsCountedInEveryBuild) {
   const auto scenario = makeScenario(rmatBase(8, 1500, 37), 1e-2, 38, testOptions());
-  const auto r = dfLF(scenario.prev, scenario.curr, scenario.batch,
-                      scenario.prevRanks, worklistOptions());
-  ASSERT_TRUE(r.converged);
-  if (protocolStatsEnabled()) {
-    EXPECT_GT(r.protocolStats.rankPublishes, 0u);
-    EXPECT_GT(r.protocolStats.flagRmws, 0u);
-    EXPECT_GT(r.protocolStats.ringPushes, 0u);
-  } else {
-    EXPECT_EQ(r.protocolStats.rankPublishes, 0u);
-    EXPECT_EQ(r.protocolStats.ringPushes, 0u);
+  for (const auto& opt : {testOptions(), worklistOptions()}) {
+    const bool worklist = opt.scheduling == SchedulingMode::Worklist;
+    const auto r = dfLF(scenario.prev, scenario.curr, scenario.batch,
+                        scenario.prevRanks, opt);
+    ASSERT_TRUE(r.converged) << "worklist=" << worklist;
+    EXPECT_GT(r.rankUpdates, 0u) << "worklist=" << worklist;
+    EXPECT_GT(r.protocolStats.rePulls, 0u) << "worklist=" << worklist;
+    EXPECT_GT(r.protocolStats.flagRmws, 0u) << "worklist=" << worklist;
+    EXPECT_EQ(r.protocolStats.ringPushes > 0u, worklist);
+    EXPECT_EQ(r.protocolStats.residualPushes, 0u) << "pull engines push nothing";
   }
+
+  const auto push = deltaPush(scenario.prev, scenario.curr, scenario.batch,
+                              scenario.prevRanks, testOptions());
+  ASSERT_TRUE(push.converged);
+  EXPECT_GT(push.rankUpdates, 0u);
+  EXPECT_GT(push.protocolStats.residualPushes, 0u);
+  EXPECT_GT(push.protocolStats.activations, 0u);
+  EXPECT_GT(push.protocolStats.ringPushes, 0u);
 }
 
 TEST(DynamicPageRank, PerChunkConvergenceAblation) {
@@ -345,6 +354,15 @@ TEST(DynamicPageRank, RejectsWrongRankVectorSize) {
                std::invalid_argument);
   EXPECT_THROW(dtLF(scenario.prev, scenario.curr, scenario.batch, bad, testOptions()),
                std::invalid_argument);
+  EXPECT_THROW(deltaPush(scenario.prev, scenario.curr, scenario.batch, bad, testOptions()),
+               std::invalid_argument);
+  // MonteCarlo derives its ranks from walks (no prevRanks): a resident
+  // state of the wrong size is the same mistake.
+  detail::LfEngineState badState(3);
+  EXPECT_THROW(detail::lfMonteCarloStep(badState, scenario.prev, scenario.curr,
+                                        scenario.batch, testOptions(), nullptr,
+                                        "monteCarlo"),
+               std::invalid_argument);
 }
 
 TEST(DynamicPageRank, RejectsMismatchedSnapshots) {
@@ -361,6 +379,8 @@ TEST(DynamicPageRank, RejectsOutOfRangeBatchEdges) {
   batch.insertions = {{0, 9}};
   EXPECT_THROW(dfLF(g, g, batch, ranks, testOptions()), std::out_of_range);
   EXPECT_THROW(dfBB(g, g, batch, ranks, testOptions()), std::out_of_range);
+  EXPECT_THROW(deltaPush(g, g, batch, ranks, testOptions()), std::out_of_range);
+  EXPECT_THROW(monteCarlo(g, g, batch, testOptions()), std::out_of_range);
 }
 
 TEST(DynamicPageRank, RunApproachDispatchesEverything) {

@@ -185,6 +185,22 @@ TEST(Faults, AllThreadsCrashedMeansNoConvergence) {
   EXPECT_EQ(fault.numCrashed(), 8);
 }
 
+TEST(Faults, CrashedWorkersKeepTheirCounts) {
+  // Every worker dies on its third vertex. Each counts into its own slot
+  // that the step sums after the join, so the vertices it pulled before
+  // dying are still reported: at least one rank update per vertex the
+  // injector saw.
+  const auto scenario = makeFaultScenario(7);
+  FaultConfig cfg;
+  cfg.crashAfterUpdates.assign(8, 3);
+  FaultInjector fault(8, cfg);
+  const auto r = staticLF(scenario.curr, faultOptions(), &fault);
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(fault.numCrashed(), 8);
+  EXPECT_EQ(fault.updatesObserved(), 8u * 3u);
+  EXPECT_GE(r.rankUpdates, fault.updatesObserved());
+}
+
 TEST(Faults, DFBBDeadlocksOnCrashReportedAsDNF) {
   // Section 5.4: "DFBB fails to complete the computation even if a single
   // thread crashes." The instrumented barrier turns the deadlock into a

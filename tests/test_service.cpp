@@ -397,6 +397,33 @@ TEST(Service, AutoRoutesTinyBatchesToDeltaPush) {
             16.0 * v->toleranceBound);
 }
 
+TEST(Service, StatsAccumulateProtocolCounters) {
+  ServiceOptions opt = smallServiceOptions();
+  opt.stepEngine = ServiceOptions::StepEngine::Auto;
+  const auto initial = makeTestGraph(46);
+  RankService service(initial, opt);
+  service.waitForEpoch(1);
+  const ServiceStats first = service.stats();
+  EXPECT_GT(first.rankUpdates, 0u) << "the initial full solve counts";
+  EXPECT_GT(first.protocolStats.flagRmws, 0u);
+
+  auto offline = DynamicDigraph::fromCsr(initial);
+  Rng rng(47);
+  for (int step = 0; step < 3; ++step) {
+    const auto batch = generateBatch(offline, 4, rng);
+    offline.applyBatch(batch);
+    ASSERT_TRUE(service.submit(batch));
+    service.waitIdle();
+  }
+  const ServiceStats after = service.stats();
+  ASSERT_GT(after.deltaPushSteps, 0u) << "tiny batches route to push";
+  EXPECT_GT(after.rankUpdates, first.rankUpdates);
+  EXPECT_GT(after.protocolStats.flagRmws, first.protocolStats.flagRmws);
+  EXPECT_GT(after.protocolStats.residualPushes, 0u);
+  EXPECT_GT(after.protocolStats.activations, 0u);
+  EXPECT_GT(after.protocolStats.ringPushes, first.protocolStats.ringPushes);
+}
+
 // ---------------------------------------------------------------------
 // Monte Carlo engine routing (PR 9): approximate resident ranks plus
 // personalized queries served through the snapshot, live under ingest.
