@@ -390,7 +390,16 @@ MonteCarloState::MonteCarloState(std::size_t numVertices, const McConfig& config
   claimed = AtomicU8Vector(numWalks, 0);
 }
 
-std::uint64_t MonteCarloState::fingerprint() const noexcept {
+namespace {
+
+/// FNV-1a over the store shape, the epoch and every walk in walk-id order
+/// — the one hash behind MonteCarloState::fingerprint() and
+/// PprIndex::fingerprint(). `walk(w)` returns walk w's positions; it is
+/// called once per walk, in ascending w.
+template <typename WalkAt>
+std::uint64_t walkFingerprint(const McConfig& cfg, std::uint64_t epoch,
+                              std::span<const std::uint16_t> len,
+                              WalkAt&& walk) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
   const auto mix = [&h](std::uint64_t x) {
     for (int i = 0; i < 8; ++i) {
@@ -403,13 +412,20 @@ std::uint64_t MonteCarloState::fingerprint() const noexcept {
   mix(cfg.seed);
   mix(static_cast<std::uint64_t>(cfg.alpha * 1e12));
   mix(epoch);
-  mix(numWalks);
-  for (std::uint32_t w = 0; w < numWalks; ++w) {
+  mix(len.size());
+  for (std::size_t w = 0; w < len.size(); ++w) {
     mix(len[w]);
-    const std::size_t slice = static_cast<std::size_t>(w) * stride;
-    for (std::size_t i = 0; i < len[w]; ++i) mix(verts[slice + i]);
+    for (const VertexId v : walk(w)) mix(v);
   }
   return h;
+}
+
+}  // namespace
+
+std::uint64_t MonteCarloState::fingerprint() const noexcept {
+  return walkFingerprint(cfg, epoch, len, [this](std::size_t w) {
+    return std::span<const VertexId>(verts.data() + w * stride, len[w]);
+  });
 }
 
 namespace {
@@ -598,7 +614,10 @@ PprIndex buildPprIndex(const MonteCarloState& st, int numThreads) {
   PprIndex index;
   index.alpha = st.cfg.alpha;
   index.walksPerVertex = st.cfg.walksPerVertex;
+  index.maxWalkLength = st.cfg.maxWalkLength;
+  index.seed = st.cfg.seed;
   index.epoch = st.epoch;
+  index.walkLengths = st.len;
   index.offsets.assign(st.n + 1, 0);
 
   int threads = ThreadTeam::resolveThreads(numThreads);
@@ -698,3 +717,19 @@ PageRankResult lfMonteCarloStep(LfEngineState& state, const CsrGraph& prev,
 }
 
 }  // namespace lfpr::detail
+
+namespace lfpr {
+
+std::uint64_t PprIndex::fingerprint() const noexcept {
+  // Walks sit back to back in the visit log (root-major walk ids), so a
+  // running cursor finds each one.
+  const detail::McConfig cfg{walksPerVertex, maxWalkLength, seed, alpha};
+  std::uint64_t cursor = 0;
+  return detail::walkFingerprint(cfg, epoch, walkLengths, [&](std::size_t w) {
+    const std::span<const VertexId> walk(visitLog.data() + cursor, walkLengths[w]);
+    cursor += walkLengths[w];
+    return walk;
+  });
+}
+
+}  // namespace lfpr

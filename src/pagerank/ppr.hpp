@@ -36,14 +36,20 @@ struct PprEntry {
 /// Immutable root-major visit log snapshot of a Monte Carlo walk store.
 /// Vertices visited by the R walks rooted at r occupy
 /// visitLog[offsets[r] .. offsets[r+1]), duplicates counting multiple
-/// visits. Built once per published epoch (detail::buildPprIndex) and
-/// shared read-only by any number of query threads.
+/// visits. Walk ids are root-major too (walk w belongs to root w / R), so
+/// the log holds every walk back to back in walk-id order, walk w being
+/// walkLengths[w] entries long. Built once per published epoch
+/// (detail::buildPprIndex) and shared read-only by any number of query
+/// threads.
 struct PprIndex {
   double alpha = 0.85;
   int walksPerVertex = 0;
+  int maxWalkLength = 0;
+  std::uint64_t seed = 0;
   std::uint64_t epoch = 0;
   std::vector<std::uint64_t> offsets;  ///< numRoots + 1 entries.
   std::vector<VertexId> visitLog;
+  std::vector<std::uint16_t> walkLengths;  ///< One per walk, walk-id order.
 
   [[nodiscard]] std::size_t numRoots() const {
     return offsets.empty() ? 0 : offsets.size() - 1;
@@ -54,6 +60,12 @@ struct PprIndex {
   /// than k entries when fewer than k distinct vertices were visited,
   /// and an empty vector for an out-of-range root.
   [[nodiscard]] std::vector<PprEntry> topK(VertexId root, std::size_t k) const;
+
+  /// The walk-store fingerprint of the store this index was built from,
+  /// bit-identical to detail::MonteCarloState::fingerprint() at build
+  /// time. O(store): an audit call, computed on every call and never on
+  /// the publish or query path.
+  [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 
 }  // namespace lfpr

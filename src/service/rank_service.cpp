@@ -112,11 +112,10 @@ std::unique_ptr<RankSnapshot> RankService::initDurability() {
         state_.monteCarlo = std::move(ckpt->walkStore);
         state_.monteCarloValid = true;
         walkResumes_.fetch_add(1, std::memory_order_relaxed);
-        // The recovered snapshot regains its MC face: the fingerprint
-        // pins the resumed store and pprTopK serves immediately, exactly
-        // as the pre-crash epoch did.
+        // The recovered snapshot regains its MC face: pprTopK serves
+        // immediately, and mcFingerprint() pins the resumed store,
+        // exactly as the pre-crash epoch did.
         recovered->monteCarlo = true;
-        recovered->mcFingerprint = state_.monteCarlo->fingerprint();
         recovered->ppr = std::make_shared<const PprIndex>(
             detail::buildPprIndex(*state_.monteCarlo, opt_.solver.numThreads));
       } else if (d.onWarning) {
@@ -395,11 +394,11 @@ void RankService::publishConverged(const PageRankResult& result) {
   snap->publishedAt = std::chrono::steady_clock::now();
   if (result.monteCarlo && state_.monteCarloValid &&
       state_.monteCarlo != nullptr) {
-    // MC epochs also publish the personalized index + the determinism
-    // fingerprint. Built here, sequentially, from the quiescent store —
-    // readers only ever see the immutable flattened copy.
+    // MC epochs also publish the personalized index, built here from the
+    // quiescent store — readers only ever see the immutable flattened
+    // copy. The determinism fingerprint is derived from that copy on
+    // demand (RankSnapshot::mcFingerprint), never on this path.
     snap->monteCarlo = true;
-    snap->mcFingerprint = state_.monteCarlo->fingerprint();
     snap->ppr = std::make_shared<const PprIndex>(
         detail::buildPprIndex(*state_.monteCarlo, opt_.solver.numThreads));
   }

@@ -1,8 +1,13 @@
 // Immutable rank vector published by the RankService (service layer,
 // PR 6) at a convergence boundary. A snapshot is built once by the
-// ingest thread, published through SnapshotBox's atomic pointer flip,
-// and never mutated afterwards — readers holding a SnapshotView see one
-// consistent ranking no matter how many batches land concurrently.
+// ingest thread and published through SnapshotBox's atomic pointer
+// flip — readers holding a SnapshotView see one consistent ranking no
+// matter how many batches land concurrently. Its facts are never
+// mutated after publish. The one write after publish is the topK
+// prefix cache: a reader installs a sorted prefix of the ranking with
+// one CAS on an atomic pointer, the prefix itself is immutable, and
+// every installed prefix lives until the snapshot is freed (after the
+// SnapshotBox grace period), so no reader can see it change or vanish.
 //
 // Beyond the ranks themselves the snapshot carries the §4.5 rank-error
 // certificate: the engines' convergence detection bounds the true
@@ -15,7 +20,9 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -59,11 +66,6 @@ struct RankSnapshot {
   /// NOT the worst-case §4.5 certificate carried by exact-engine epochs.
   bool monteCarlo = false;
 
-  /// Walk-store fingerprint at publish (MonteCarlo epochs only; 0
-  /// otherwise). Pins the determinism contract across restarts: same
-  /// (seed, batch schedule) => same fingerprint at the same epoch.
-  std::uint64_t mcFingerprint = 0;
-
   /// Personalized-PageRank index for this epoch (MonteCarlo epochs
   /// only; null otherwise). Immutable and shared — pprTopK queries
   /// answer from here without touching the live walk store.
@@ -79,22 +81,55 @@ struct RankSnapshot {
     return v < ranks.size() ? ranks[v] : 0.0;
   }
 
+  /// Walk-store fingerprint of this epoch (MonteCarlo epochs with a PPR
+  /// index; 0 otherwise). Pins the determinism contract across restarts:
+  /// same (seed, batch schedule) => same fingerprint at the same epoch.
+  /// An O(store) audit call: it hashes the epoch's immutable index on
+  /// every call, and nothing on the publish or query path calls it.
+  [[nodiscard]] std::uint64_t mcFingerprint() const noexcept {
+    return ppr != nullptr ? ppr->fingerprint() : 0;
+  }
+
+  /// Shortest topK prefix a snapshot caches: the first query of an epoch
+  /// sorts the top max(kMinTopPrefix, bit_ceil(k)) vertices (capped at
+  /// n), so every later query up to that k is a copy.
+  static constexpr std::size_t kMinTopPrefix = 64;
+
   /// The k highest-ranked vertices, descending (ties by vertex id).
+  /// O(n log k) for the epoch's first query, or for the first query
+  /// longer than the cached prefix; O(k) after that.
   [[nodiscard]] std::vector<std::pair<VertexId, double>> topK(
       std::size_t k) const {
-    const std::size_t n = ranks.size();
-    k = std::min(k, n);
-    std::vector<std::pair<VertexId, double>> order(n);
-    for (std::size_t v = 0; v < n; ++v)
-      order[v] = {static_cast<VertexId>(v), ranks[v]};
-    std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k),
-                      order.end(), [](const auto& a, const auto& b) {
-                        if (a.second != b.second) return a.second > b.second;
-                        return a.first < b.first;
-                      });
-    order.resize(k);
-    return order;
+    k = std::min(k, ranks.size());
+    if (k == 0) return {};
+    const TopPrefix* prefix = topPrefix_.load(std::memory_order_acquire);
+    if (prefix == nullptr || prefix->entries.size() < k)
+      prefix = installTopPrefix(k, prefix);
+    return {prefix->entries.begin(),
+            prefix->entries.begin() + static_cast<std::ptrdiff_t>(k)};
   }
+
+  RankSnapshot() = default;
+  /// Frees every topK prefix ever installed on this snapshot.
+  ~RankSnapshot();
+  RankSnapshot(const RankSnapshot&) = delete;
+  RankSnapshot& operator=(const RankSnapshot&) = delete;
+
+ private:
+  /// Sorted top prefix of `ranks`. Immutable once installed; a longer
+  /// prefix displaces it but keeps it chained, so a reader still copying
+  /// from it is never left holding freed memory.
+  struct TopPrefix {
+    std::vector<std::pair<VertexId, double>> entries;
+    const TopPrefix* displaced = nullptr;
+  };
+
+  /// Build a prefix of at least k entries and install it unless a racing
+  /// reader already installed one that long; returns the installed one.
+  /// `seen` is the caller's last load of topPrefix_.
+  const TopPrefix* installTopPrefix(std::size_t k, const TopPrefix* seen) const;
+
+  mutable std::atomic<const TopPrefix*> topPrefix_{nullptr};
 };
 
 }  // namespace lfpr

@@ -7,7 +7,11 @@
 //                 queries through the view (ranks, rank(v), topK) answer
 //                 against that one immutable object. No torn reads: the
 //                 publish is a single atomic pointer exchange and the
-//                 pointee is never mutated after publish.
+//                 pointee's facts are never mutated after publish. The
+//                 one write after publish is RankSnapshot's install-once
+//                 topK prefix: a CAS on an atomic pointer to an
+//                 immutable prefix, freed with the snapshot itself once
+//                 its grace period has passed.
 //
 //   reclamation   a replaced snapshot is retired, not freed; it is
 //                 deleted only after a grace period — once every reader

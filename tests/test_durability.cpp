@@ -789,10 +789,10 @@ TEST_F(DurabilityTest, ServiceResumesWalkStoreFromSidecarAllFsyncPolicies) {
       EXPECT_EQ(a.stats().walkCheckpoints, 3u) << label;
       const SnapshotView va = a.snapshot();
       ASSERT_TRUE(va->monteCarlo) << label;
-      fpA = va->mcFingerprint;
+      fpA = va->mcFingerprint();
       ranksA = va->ranks;
       ASSERT_NE(fpA, 0u) << label;
-      EXPECT_EQ(b.snapshot()->mcFingerprint, fpA)
+      EXPECT_EQ(b.snapshot()->mcFingerprint(), fpA)
           << label << ": twin runs diverged before any restart";
     }
     {
@@ -811,7 +811,7 @@ TEST_F(DurabilityTest, ServiceResumesWalkStoreFromSidecarAllFsyncPolicies) {
       EXPECT_EQ(st.walkSidecarsQuarantined, 0u) << label;
       const SnapshotView v = s.snapshot();
       ASSERT_TRUE(v->monteCarlo) << label;
-      EXPECT_EQ(v->mcFingerprint, fpA)
+      EXPECT_EQ(v->mcFingerprint(), fpA)
           << label << ": resumed walk store diverged from the clean run";
       EXPECT_EQ(v->ranks, ranksA) << label;
     }
@@ -823,7 +823,7 @@ TEST_F(DurabilityTest, ServiceResumesWalkStoreFromSidecarAllFsyncPolicies) {
       EXPECT_EQ(s.stats().replayedBatches, 6u) << label;
       const SnapshotView v = s.snapshot();
       ASSERT_TRUE(v->monteCarlo) << label;
-      EXPECT_EQ(v->mcFingerprint, fpA)
+      EXPECT_EQ(v->mcFingerprint(), fpA)
           << label << ": journal-only rebuild diverged from the clean run";
       EXPECT_EQ(v->ranks, ranksA) << label;
     }
@@ -895,7 +895,7 @@ TEST_F(DurabilityTest, ServiceTornWalkSidecarFallsBackToJournalRebuild) {
   ASSERT_TRUE(detail::lfMonteCarloStep(twin, ckptGraph, currGraph, extra,
                                        opt.solver, nullptr, "twin")
                   .converged);
-  EXPECT_EQ(v->mcFingerprint, twin.monteCarlo->fingerprint())
+  EXPECT_EQ(v->mcFingerprint(), twin.monteCarlo->fingerprint())
       << "the fallback rebuild must match the offline twin bit-for-bit";
 }
 
@@ -1157,7 +1157,7 @@ void verifyMcCrashRecovery(const std::string& dir, const CsrGraph& initial,
   ASSERT_TRUE(v) << label;
   EXPECT_TRUE(v->converged) << label;
   ASSERT_TRUE(v->monteCarlo) << label;
-  EXPECT_EQ(v->mcFingerprint, oracle.fingerprint)
+  EXPECT_EQ(v->mcFingerprint(), oracle.fingerprint)
       << label
       << ": recovered walk store is not bit-identical to the from-scratch "
          "schedule";

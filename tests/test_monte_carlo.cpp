@@ -262,6 +262,47 @@ TEST(MonteCarlo, DeterministicAcrossRunsAndThreadCounts) {
   EXPECT_NE(fpA.front(), fpA.back());
 }
 
+TEST(MonteCarlo, IndexFingerprintMatchesStore) {
+  // A snapshot's mcFingerprint() hashes its PprIndex, not the live
+  // store: the index must reproduce the store's fingerprint bit for bit
+  // after the build, after every repair, at any thread count, and for a
+  // store that went through the checkpoint image.
+  for (const int numThreads : {1, 4}) {
+    SCOPED_TRACE(numThreads);
+    auto g = makeTestDigraph(92);
+    const auto opt = mcOptions(/*walksPerVertex=*/8, numThreads);
+    detail::LfEngineState state(g.numVertices());
+    auto prev = g.toCsr();
+    ASSERT_TRUE(detail::lfMonteCarloStep(state, prev, prev, {}, opt, nullptr,
+                                         "test")
+                    .converged);
+    EXPECT_EQ(detail::buildPprIndex(*state.monteCarlo, numThreads).fingerprint(),
+              state.monteCarlo->fingerprint())
+        << "after the build";
+    Rng rng(93);
+    for (int b = 0; b < 4; ++b) {
+      const auto batch = generateBatch(g, 200, rng);
+      g.applyBatch(batch);
+      const auto curr = g.toCsr();
+      ASSERT_TRUE(detail::lfMonteCarloStep(state, prev, curr, batch, opt,
+                                           nullptr, "test")
+                      .converged);
+      EXPECT_EQ(
+          detail::buildPprIndex(*state.monteCarlo, numThreads).fingerprint(),
+          state.monteCarlo->fingerprint())
+          << "after repair " << b;
+      prev = curr;
+    }
+    const auto restored =
+        detail::mcDeserializeStore(detail::mcSerializeStore(*state.monteCarlo));
+    ASSERT_NE(restored, nullptr);
+    EXPECT_EQ(detail::buildPprIndex(*restored, numThreads).fingerprint(),
+              restored->fingerprint())
+        << "after the image round trip";
+    EXPECT_EQ(restored->fingerprint(), state.monteCarlo->fingerprint());
+  }
+}
+
 TEST(Service, MonteCarloRestartRebuildsIdenticalStore) {
   // Restart determinism end-to-end: run A ingests k batches through a
   // journaled MonteCarlo service (journal-only durability, one batch
@@ -299,7 +340,7 @@ TEST(Service, MonteCarloRestartRebuildsIdenticalStore) {
     }
     const SnapshotView v = service.snapshot();
     ASSERT_TRUE(v->monteCarlo);
-    fpA = v->mcFingerprint;
+    fpA = v->mcFingerprint();
     ranksA = v->ranks;
     ASSERT_NE(fpA, 0u);
   }
@@ -308,7 +349,7 @@ TEST(Service, MonteCarloRestartRebuildsIdenticalStore) {
     service.waitIdle();  // recovery replays the journal, one batch/step
     const SnapshotView v = service.snapshot();
     ASSERT_TRUE(v->monteCarlo);
-    EXPECT_EQ(v->mcFingerprint, fpA)
+    EXPECT_EQ(v->mcFingerprint(), fpA)
         << "replayed walk store diverged from the original";
     EXPECT_EQ(v->ranks, ranksA);
   }

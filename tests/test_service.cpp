@@ -9,9 +9,12 @@
 // suite filter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "generate/batch_gen.hpp"
@@ -160,6 +163,109 @@ TEST(SnapshotBoxStress, NoTornReadsUnderPublishFirehose) {
   // With all readers quiescent, one more publish drains the retire list
   // down to (at most) its own predecessor.
   box.publish(patternSnapshot(kPublishes + 1, 64));
+  EXPECT_LE(box.retiredCount(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// RankSnapshot::topK: the cached per-epoch prefix.
+
+using RankedList = std::vector<std::pair<VertexId, double>>;
+
+/// The k best of `ranks` by a full partial_sort: rank descending, ties
+/// by vertex id. The order topK must reproduce.
+RankedList referenceTopK(const std::vector<double>& ranks, std::size_t k) {
+  RankedList order(ranks.size());
+  for (std::size_t v = 0; v < ranks.size(); ++v)
+    order[v] = {static_cast<VertexId>(v), ranks[v]};
+  k = std::min(k, order.size());
+  std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k),
+                    order.end(), [](const auto& a, const auto& b) {
+                      if (a.second != b.second) return a.second > b.second;
+                      return a.first < b.first;
+                    });
+  order.resize(k);
+  return order;
+}
+
+/// Ranks drawn from 16 values, so every prefix boundary cuts through a
+/// run of ties and the vertex-id tie-break decides membership.
+std::unique_ptr<RankSnapshot> tiedRankSnapshot(std::uint64_t seed,
+                                               std::size_t n) {
+  auto snap = std::make_unique<RankSnapshot>();
+  snap->epoch = seed;
+  Rng rng(seed);
+  snap->ranks.resize(n);
+  for (double& r : snap->ranks)
+    r = static_cast<double>(rng.below(16)) / 16.0;
+  return snap;
+}
+
+TEST(RankSnapshot, TopKPrefixMatchesFullSort) {
+  constexpr std::size_t n = 1000;
+  const auto snap = tiedRankSnapshot(21, n);
+  std::vector<std::size_t> ks = {0, 1, 10, 63, 64, 65, 200, n, n + 7};
+  // Rising installs ever longer prefixes; falling answers every k from
+  // the longest one.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::size_t k : ks) {
+      SCOPED_TRACE(k);
+      EXPECT_EQ(snap->topK(k), referenceTopK(snap->ranks, k));
+    }
+    std::reverse(ks.begin(), ks.end());
+  }
+  // A falling order on a fresh snapshot starts from the longest prefix.
+  const auto fresh = tiedRankSnapshot(22, n);
+  for (const std::size_t k : ks) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(fresh->topK(k), referenceTopK(fresh->ranks, k));
+  }
+  // Shorter than the prefix floor: the prefix is the whole vector.
+  const auto tiny = tiedRankSnapshot(23, 5);
+  for (const std::size_t k : {std::size_t{3}, std::size_t{5}, std::size_t{9}})
+    EXPECT_EQ(tiny->topK(k), referenceTopK(tiny->ranks, k));
+  EXPECT_TRUE(RankSnapshot{}.topK(4).empty());
+}
+
+// Four readers with different k race to install the first (and a longer)
+// prefix on a fresh snapshot every round; displaced prefixes must stay
+// readable until the snapshot is reclaimed, and none may leak (the asan
+// preset's leak check), with no race report under the tsan preset.
+TEST(RankSnapshot, ConcurrentReadersInstallPrefixes) {
+  constexpr std::size_t n = 2048;
+  constexpr int kRounds = 200;
+  constexpr std::size_t kReaderK[] = {10, 64, 130, 700};
+  constexpr int kReaders = static_cast<int>(std::size(kReaderK));
+  SnapshotBox box;
+  std::atomic<int> round{0};
+  std::atomic<int> done{0};
+  std::atomic<std::uint64_t> mismatches{0};
+
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, k = kReaderK[t]] {
+      for (int r = 1; r <= kRounds; ++r) {
+        while (round.load(std::memory_order_acquire) < r) std::this_thread::yield();
+        {
+          const SnapshotView v = box.acquire();
+          if (v->topK(k) != referenceTopK(v->ranks, k)) mismatches.fetch_add(1);
+          // A second, shorter read answers from whatever is installed.
+          if (v->topK(k / 2) != referenceTopK(v->ranks, k / 2))
+            mismatches.fetch_add(1);
+        }
+        done.fetch_add(1, std::memory_order_acq_rel);
+      }
+    });
+  }
+  for (int r = 1; r <= kRounds; ++r) {
+    box.publish(tiedRankSnapshot(static_cast<std::uint64_t>(100 + r), n));
+    round.store(r, std::memory_order_release);
+    while (done.load(std::memory_order_acquire) < r * kReaders)
+      std::this_thread::yield();
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  box.publish(patternSnapshot(kRounds + 200, 8));
   EXPECT_LE(box.retiredCount(), 1u);
 }
 
@@ -454,7 +560,7 @@ TEST(Service, MonteCarloStepEngineTracksOfflineSolve) {
   EXPECT_GT(service.stats().monteCarloSteps, 0u);
   EXPECT_EQ(service.stats().deltaPushSteps, 0u);
   EXPECT_TRUE(v->monteCarlo);
-  EXPECT_NE(v->mcFingerprint, 0u);
+  EXPECT_NE(v->mcFingerprint(), 0u);
   EXPECT_EQ(v->toleranceBound,
             mcL1ErrorBound(opt.solver.alpha, opt.solver.mcWalksPerVertex));
   // The certificate is an L1 scale here, not the exact engines' L-inf.
@@ -524,7 +630,7 @@ TEST(Service, PprTopKServedWhileIngesting) {
   RankService exact(initial, smallServiceOptions());
   exact.waitForEpoch(1);
   EXPECT_TRUE(exact.pprTopK(0, 8).empty());
-  EXPECT_EQ(exact.snapshot()->mcFingerprint, 0u);
+  EXPECT_EQ(exact.snapshot()->mcFingerprint(), 0u);
 }
 
 TEST(Service, DeltaPushCrashedStepRecoversBeforePublish) {
