@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "sched/cpu_placement.hpp"
 #include "service/checkpoint.hpp"
 #include "util/failpoint.hpp"
 #include "util/io_retry.hpp"
@@ -196,6 +197,7 @@ bool RankService::enqueueLocked(std::unique_lock<std::mutex> lock,
   pendingBatches_.fetch_add(1, std::memory_order_relaxed);
   pendingEdges_.fetch_add(edges, std::memory_order_relaxed);
   queue_.push_back(Pending{std::move(batch), seq});
+  lastSubmitCpu_ = currentCpu();
   queueCv_.notify_one();
 
   if (journal_ && opt_.durability.fsync == FsyncPolicy::GroupCommit) {
@@ -563,6 +565,7 @@ void RankService::runLoop() {
 
   while (true) {
     std::vector<Pending> group;
+    int submitCpu = -1;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       idle_ = true;
@@ -580,8 +583,13 @@ void RankService::runLoop() {
         group.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
+      submitCpu = lastSubmitCpu_;
     }
     notFullCv_.notify_all();
+    // Woken onto the submitter's CPU, this thread would stay there and
+    // share it with a submitter that keeps working, while other CPUs
+    // idle (see sched/cpu_placement.hpp). Step somewhere else.
+    if (submitCpu >= 0 && currentCpu() == submitCpu) leaveCpu(submitCpu);
     if (!stepOnce(std::move(group))) return;
   }
 }

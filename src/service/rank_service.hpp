@@ -380,6 +380,7 @@ class RankService {
   bool stopping_ = false;
   bool draining_ = false;
   bool idle_ = false;
+  int lastSubmitCpu_ = -1;  // CPU of the latest enqueue (currentCpu())
   std::atomic<bool> stopFlag_{false};  // wired into PageRankOptions::stopRequested
 
   // Counters (readable from any thread).

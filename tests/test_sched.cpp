@@ -1,6 +1,6 @@
 // Unit tests for src/sched: lock-free chunk scheduling, thread team,
-// instrumented barrier (wait accounting, breakage), fault injection,
-// dirty-vertex work rings (worklist scheduling).
+// CPU placement hint, instrumented barrier (wait accounting, breakage),
+// fault injection, dirty-vertex work rings (worklist scheduling).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +9,13 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "sched/barrier.hpp"
 #include "sched/chunk_cursor.hpp"
+#include "sched/cpu_placement.hpp"
 #include "sched/fault.hpp"
 #include "sched/thread_team.hpp"
 #include "sched/work_ring.hpp"
@@ -126,6 +131,45 @@ TEST(ThreadTeam, SingleThreadRunsInline) {
   team.run([&](int) { worker = std::this_thread::get_id(); });
   EXPECT_EQ(worker, caller);
 }
+
+#if defined(__linux__)
+
+TEST(CpuPlacement, LeaveCpuRestoresTheAffinityMask) {
+  cpu_set_t before;
+  ASSERT_EQ(sched_getaffinity(0, sizeof before, &before), 0);
+  const int cpu = currentCpu();
+  ASSERT_GE(cpu, 0);
+  ASSERT_TRUE(CPU_ISSET(cpu, &before));
+  // One allowed CPU leaves nowhere to go: refused, nothing touched.
+  EXPECT_EQ(leaveCpu(cpu), CPU_COUNT(&before) >= 2);
+  cpu_set_t after;
+  ASSERT_EQ(sched_getaffinity(0, sizeof after, &after), 0);
+  EXPECT_TRUE(CPU_EQUAL(&before, &after));
+}
+
+TEST(CpuPlacement, LeaveCpuRefusesCpusOutsideTheMask) {
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+  EXPECT_FALSE(leaveCpu(-1));
+  EXPECT_FALSE(leaveCpu(CPU_SETSIZE));
+  int outside = 0;
+  while (outside < CPU_SETSIZE && CPU_ISSET(outside, &allowed)) ++outside;
+  if (outside < CPU_SETSIZE) {
+    EXPECT_FALSE(leaveCpu(outside));
+  }
+  cpu_set_t after;
+  ASSERT_EQ(sched_getaffinity(0, sizeof after, &after), 0);
+  EXPECT_TRUE(CPU_EQUAL(&allowed, &after));
+}
+
+#else
+
+TEST(CpuPlacement, NoOpOffLinux) {
+  EXPECT_EQ(currentCpu(), -1);
+  EXPECT_FALSE(leaveCpu(0));
+}
+
+#endif
 
 TEST(Barrier, SynchronizesPhases) {
   constexpr int kThreads = 6, kPhases = 25;
