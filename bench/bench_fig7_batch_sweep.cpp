@@ -14,19 +14,12 @@
 // worst on dense social graphs; error stays within a small band around
 // the iteration tolerance.
 //
-// PR 5 adds a DFLF_wl series — DFLF under SchedulingMode::Worklist (the
-// sparse-frontier rings + publish diet) — so the dynamic-engine win of
-// the worklist is measured at engine level across batch fractions: it
-// should track or beat DFLF at small fractions (iteration cost
-// proportional to the frontier, not |V|) and lose at large fractions
-// where the frontier is dense and the dense sweep's locality wins.
-//
 // PR 8 adds a DFLF_push series — the delta-push residual engine
 // (Approach::DeltaPush) — targeting the mid-density gap (~1e-5..1e-3)
-// where the worklist's per-visit re-pulls and the dense sweep's O(|V|)
-// iterations both do redundant work: push cost scales with the injected
-// mass (touched edges decay geometrically per hop), so it should win the
-// middle of the sweep and concede both ends.
+// where the dense sweep's per-visit re-pulls and O(|V|) iterations do
+// redundant work: push cost scales with the injected mass (touched
+// edges decay geometrically per hop), so it should win the middle of
+// the sweep and concede both ends.
 //
 // PR 9 adds an MC_repair series — one steady-state walk-repair step of
 // the resident Monte Carlo store (detail::lfMonteCarloStep against a
@@ -39,7 +32,6 @@
 // the engine's *statistical* mcL1ErrorBound scale — orders of magnitude
 // above the exact engines' tolerance-band L-inf numbers by design;
 // comparable only against mcL1ErrorBound(alpha, R), not tau.
-#include <algorithm>
 #include <map>
 
 #include "bench_common.hpp"
@@ -71,7 +63,6 @@ int main() {
 
   // runtimes[approach][fraction] -> per-graph times for the geomean.
   std::map<Approach, std::map<double, std::vector<double>>> runtimes;
-  std::map<double, std::vector<double>> dflfWlMs, dflfWlErr;
   std::map<double, std::vector<double>> dflfPushMs, dflfPushErr;
   std::map<double, std::vector<double>> mcRepairMs, mcL1Err;
   std::map<double, std::vector<double>> dflfErr, dfbbErr, ndlfErr;
@@ -83,7 +74,7 @@ int main() {
     const auto opt = bench::benchOptions(cfg, base.numVertices());
 
     Table table({"batch_frac", "StaticBB", "NDBB", "DFBB", "StaticLF", "NDLF",
-                 "DFLF", "DFLF_wl", "DFLF_push", "MC_repair", "DFLF_affected",
+                 "DFLF", "DFLF_push", "MC_repair", "DFLF_affected",
                  "DFLF_err"});
 
     // MC walk-repair options: R=8, stride 32 keeps the walk store at
@@ -120,15 +111,6 @@ int main() {
         if (a == Approach::NDLF) ndLfResult = r;
       }
 
-      // DFLF under worklist scheduling (PR 5 sparse-frontier series).
-      PageRankOptions wlOpt = opt;
-      wlOpt.scheduling = SchedulingMode::Worklist;
-      PageRankResult dfLfWlResult;
-      const double wlMs = bench::timedMs(
-          cfg, [&] { dfLfWlResult = runOnScenario(Approach::DFLF, scenario, wlOpt); });
-      dflfWlMs[fraction].push_back(wlMs);
-      dflfWlErr[fraction].push_back(linfNorm(dfLfWlResult.ranks, ref));
-
       // Delta-push residual engine (PR 8 mid-density series).
       PageRankResult pushResult;
       const double pushMs = bench::timedMs(cfg, [&] {
@@ -164,13 +146,11 @@ int main() {
                     bench::fmtMs(ms[Approach::NDBB]), bench::fmtMs(ms[Approach::DFBB]),
                     bench::fmtMs(ms[Approach::StaticLF]),
                     bench::fmtMs(ms[Approach::NDLF]), bench::fmtMs(ms[Approach::DFLF]),
-                    bench::fmtMs(wlMs), bench::fmtMs(pushMs), bench::fmtMs(mcMs),
+                    bench::fmtMs(pushMs), bench::fmtMs(mcMs),
                     Table::count(dfLfResult.affectedVertices),
                     Table::sci(linfNorm(dfLfResult.ranks, ref), 1)});
-      if (fraction == kFractions[0]) {
-        bench::printProtocolStats(spec.name + "/DFLF_wl", dfLfWlResult);
+      if (fraction == kFractions[0])
         bench::printProtocolStats(spec.name + "/DFLF_push", pushResult);
-      }
     }
     std::cout << "--- " << spec.name << " (" << spec.family << ") ---\n";
     table.print(std::cout);
@@ -179,39 +159,35 @@ int main() {
 
   std::cout << "=== (b) geometric-mean runtime across graphs ===\n";
   Table meanTable({"batch_frac", "StaticBB", "NDBB", "DFBB", "StaticLF", "NDLF",
-                   "DFLF", "DFLF_wl", "DFLF_push", "MC_repair", "DFLF/StaticLF",
-                   "DFLF/NDLF", "DFLF_wl/DFLF", "push/best_pull",
+                   "DFLF", "DFLF_push", "MC_repair", "DFLF/StaticLF",
+                   "DFLF/NDLF", "push/best_pull",
                    "affected_share"});
   for (double fraction : kFractions) {
     std::map<Approach, double> gm;
     for (Approach a : kApproaches) gm[a] = geomean(runtimes[a][fraction]);
-    const double gmWl = geomean(dflfWlMs[fraction]);
     const double gmPush = geomean(dflfPushMs[fraction]);
     const double gmMc = geomean(mcRepairMs[fraction]);
-    // "push/best_pull" > 1 means delta-push beat BOTH pull schedulers at
+    // "push/best_pull" > 1 means delta-push beat the DFLF pull sweep at
     // this fraction — the band-ownership readout behind BENCH_pr8.json.
-    const double bestPull = std::min(gm[Approach::DFLF], gmWl);
     meanTable.addRow(
         {Table::sci(fraction, 0), bench::fmtMs(gm[Approach::StaticBB]),
          bench::fmtMs(gm[Approach::NDBB]), bench::fmtMs(gm[Approach::DFBB]),
          bench::fmtMs(gm[Approach::StaticLF]), bench::fmtMs(gm[Approach::NDLF]),
-         bench::fmtMs(gm[Approach::DFLF]), bench::fmtMs(gmWl),
-         bench::fmtMs(gmPush), bench::fmtMs(gmMc),
+         bench::fmtMs(gm[Approach::DFLF]), bench::fmtMs(gmPush),
+         bench::fmtMs(gmMc),
          Table::num(gm[Approach::StaticLF] / gm[Approach::DFLF], 2) + "x",
          Table::num(gm[Approach::NDLF] / gm[Approach::DFLF], 2) + "x",
-         Table::num(gm[Approach::DFLF] / gmWl, 2) + "x",
-         Table::num(bestPull / gmPush, 2) + "x",
+         Table::num(gm[Approach::DFLF] / gmPush, 2) + "x",
          Table::num(mean(affectedShare[fraction]), 2)});
   }
   meanTable.print(std::cout);
 
   std::cout << "\n=== (c) mean L-inf error vs reference ===\n";
-  Table err({"batch_frac", "DFBB_err", "DFLF_err", "DFLF_wl_err",
-             "DFLF_push_err", "MC_l1_err", "NDLF_err", "tolerance_note"});
+  Table err({"batch_frac", "DFBB_err", "DFLF_err", "DFLF_push_err",
+             "MC_l1_err", "NDLF_err", "tolerance_note"});
   for (double fraction : kFractions) {
     err.addRow({Table::sci(fraction, 0), Table::sci(mean(dfbbErr[fraction]), 1),
                 Table::sci(mean(dflfErr[fraction]), 1),
-                Table::sci(mean(dflfWlErr[fraction]), 1),
                 Table::sci(mean(dflfPushErr[fraction]), 1),
                 Table::sci(mean(mcL1Err[fraction]), 1),
                 Table::sci(mean(ndlfErr[fraction]), 1),

@@ -132,30 +132,22 @@ void BM_MappedRankPullKernelAtomic(benchmark::State& state) {
 }
 BENCHMARK(BM_MappedRankPullKernelAtomic);
 
-// --- Sparse-frontier scheduling: dense scan vs worklist --------------------
+// --- Sparse-frontier visit cost: dense pull sweep vs delta-push ------------
 //
-// Models ONE iteration of a lock-free engine over a dirty set of
-// f * |V| vertices (f = Arg() basis points): re-mark the frontier, then
-// find-and-process it. Per-vertex processing mirrors updateVertex's
-// convergent path in both modes — pull, publish, clear-then-reverify
-// re-pull, publish — so the benchmark isolates exactly what
-// SchedulingMode changes:
+// Models ONE iteration over a dirty set of f * |V| vertices (f = Arg()
+// basis points, 1..1000 = 0.01%..10%): re-mark the frontier, then
+// find-and-process it.
 //
-//   Dense     sweep all |V| affected bytes + the word-wide convergence
-//             scan each iteration, publishes through the RMW exchange.
-//   Worklist  drain the dirty ring only, publishes through the owner's
-//             plain-store diet. (The worklist's flag scans run once per
-//             *solve*, when a ring goes dry — not per iteration — so
-//             they are not part of the per-iteration cost modelled
-//             here.)
+//   Dense      the pull engines' iteration: sweep all |V| affected bytes
+//              + the word-wide convergence scan, and run updateVertex's
+//              convergent path (pull, exchange publish,
+//              clear-then-reverify re-pull, publish) at each dirty vertex.
+//   DeltaPush  drain the work ring: apply the parked residual and push it
+//              to the out-neighbours (see processFrontierVertexPush).
 //
-// items/s = frontier vertices per second, so the Dense-vs-Worklist ratio
-// at equal Arg() is the per-iteration cost advantage. Scale-0 runs a
-// cache-resident RMAT; the S1 variants run the first Table-2 stand-in at
-// scale 1 through the dataset cache — the acceptance regime for PR 5
-// (>= 3x at the 0.1% fraction, Arg() = 10).
-
-constexpr int kFrontierBasisPoints[] = {1, 10, 100, 1000};  // 0.01%..10%
+// items/s = frontier vertices per second. Scale-0 runs a cache-resident
+// RMAT; the S1 variants run the first Table-2 stand-in at scale 1
+// through the dataset cache.
 
 std::vector<VertexId> pickFrontier(const CsrGraph& g, int bp) {
   const std::size_t n = g.numVertices();
@@ -192,7 +184,7 @@ inline void processFrontierVertexDense(const CsrGraph& g, AtomicF64Vector& ranks
 /// publish, push `alpha * d * invOutDeg` into each out-neighbour's
 /// residual accumulator with a lock-free fetch-add. The activation
 /// threshold is unreachably high so the cascade stays exactly the seeded
-/// frontier — like the pull flavours this models per-vertex *visit*
+/// frontier — like the dense pull flavour this models per-vertex *visit*
 /// cost, not propagation depth (the BM_MidBandEngine* group below
 /// measures whole solves). Push visits out(v) with fetchAdd RMWs where
 /// pull visits in(v) with plain loads.
@@ -209,20 +201,6 @@ inline void processFrontierVertexPush(const CsrGraph& g, AtomicF64Vector& ranks,
     const double before = residual.fetchAdd(u, w);
     if (WorklistScheduler::crossedThreshold(before, before + w, 1e300))
       benchmark::DoNotOptimize(u);  // never taken: cascade stays bounded
-  }
-}
-
-/// Same path, worklist diet flavour: owner plain-store publishes.
-inline void processFrontierVertexDiet(const CsrGraph& g, AtomicF64Vector& ranks,
-                                      AtomicU8Vector& nc, VertexId v,
-                                      double alpha, double base) {
-  const double r = detail::pullRank(g, ranks, v, alpha, base);
-  benchmark::DoNotOptimize(ranks.load(v));
-  ranks.store(v, r);
-  if (nc.load(v) == 1 &&
-      nc.exchange(v, 0, std::memory_order_acquire) != 0) {
-    const double r2 = detail::pullRank(g, ranks, v, alpha, base);
-    ranks.store(v, r2);
   }
 }
 
@@ -247,32 +225,12 @@ void sparseFrontierDense(benchmark::State& state, const CsrGraph& g) {
                           static_cast<std::int64_t>(dirty.size()));
 }
 
-void sparseFrontierWorklist(benchmark::State& state, const CsrGraph& g) {
-  const std::size_t n = g.numVertices();
-  const auto dirty = pickFrontier(g, static_cast<int>(state.range(0)));
-  AtomicF64Vector ranks(n, 1.0 / static_cast<double>(n));
-  AtomicU8Vector nc(n, 0);
-  WorklistScheduler wl(n, /*numThreads=*/1, /*seedSweep=*/false);
-  const double base = 0.15 / static_cast<double>(n);
-  for (auto _ : state) {
-    for (VertexId v : dirty) {
-      nc.fetchOr(v, 1, std::memory_order_release);
-      wl.enqueue(v);
-    }
-    VertexId v = 0;
-    while (wl.tryPop(0, v))
-      processFrontierVertexDiet(g, ranks, nc, v, 0.85, base);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(dirty.size()));
-}
-
 void sparseFrontierDeltaPush(benchmark::State& state, const CsrGraph& g) {
   const std::size_t n = g.numVertices();
   const auto dirty = pickFrontier(g, static_cast<int>(state.range(0)));
   AtomicF64Vector ranks(n, 1.0 / static_cast<double>(n));
   AtomicF64Vector residual(n, 0.0);
-  WorklistScheduler wl(n, /*numThreads=*/1, /*seedSweep=*/false);
+  WorklistScheduler wl(n, /*numThreads=*/1);
   const double seed = 1.0 / static_cast<double>(n);
   for (auto _ : state) {
     for (VertexId v : dirty) {
@@ -307,20 +265,10 @@ void BM_SparseFrontierDense(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseFrontierDense)->Arg(1)->Arg(10)->Arg(100)->Arg(1000);
 
-void BM_SparseFrontierWorklist(benchmark::State& state) {
-  sparseFrontierWorklist(state, frontierSmokeGraph());
-}
-BENCHMARK(BM_SparseFrontierWorklist)->Arg(1)->Arg(10)->Arg(100)->Arg(1000);
-
 void BM_SparseFrontierDenseS1(benchmark::State& state) {
   sparseFrontierDense(state, frontierScale1Graph());
 }
 BENCHMARK(BM_SparseFrontierDenseS1)->Arg(1)->Arg(10)->Arg(100)->Arg(1000);
-
-void BM_SparseFrontierWorklistS1(benchmark::State& state) {
-  sparseFrontierWorklist(state, frontierScale1Graph());
-}
-BENCHMARK(BM_SparseFrontierWorklistS1)->Arg(1)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_SparseFrontierDeltaPush(benchmark::State& state) {
   sparseFrontierDeltaPush(state, frontierSmokeGraph());
@@ -332,18 +280,17 @@ void BM_SparseFrontierDeltaPushS1(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseFrontierDeltaPushS1)->Arg(1)->Arg(10)->Arg(100)->Arg(1000);
 
-// --- Mid-band engine gate: dense vs worklist vs delta-push -----------------
+// --- Mid-band engine gate: dense pull sweep vs delta-push -----------------
 //
 // Whole engine solves (marking + iteration + convergence scan) on ONE
 // shared scenario — the first Table-2 stand-in at scale 1 with a batch
 // of 1e-4 |E| edges, the middle of the fig7 band the delta-push engine
-// targets — at numThreads=1. Both sides of each CI ratio run in this
+// targets — at numThreads=1. Both sides of the CI ratio run in this
 // same process, so the PR 8 acceptance relationship (DeltaPush >= 1.1x
-// the better of the dense sweep and the worklist in the mid band) is
-// enforced host-invariantly, independent of the runner's absolute
-// speed and vCPU count. items/s = batch edges per second with an
-// identical batch across the three series, so the items/s ratio is
-// exactly the runtime ratio.
+// the dense DFLF sweep in the mid band) is enforced host-invariantly,
+// independent of the runner's absolute speed and vCPU count. items/s =
+// batch edges per second with an identical batch in both series, so the
+// items/s ratio is exactly the runtime ratio.
 
 const DynamicScenario& midBandScenario() {
   static const DynamicScenario s = [] {
@@ -358,12 +305,10 @@ const DynamicScenario& midBandScenario() {
   return s;
 }
 
-void midBandEngine(benchmark::State& state, Approach approach,
-                   SchedulingMode scheduling) {
+void midBandEngine(benchmark::State& state, Approach approach) {
   const DynamicScenario& s = midBandScenario();
   PageRankOptions opt = scaledOptions(s.curr.numVertices());
   opt.numThreads = 1;
-  opt.scheduling = scheduling;
   for (auto _ : state) {
     const PageRankResult r = runOnScenario(approach, s, opt);
     benchmark::DoNotOptimize(r.ranks.data());
@@ -373,17 +318,12 @@ void midBandEngine(benchmark::State& state, Approach approach,
 }
 
 void BM_MidBandEngineDense(benchmark::State& state) {
-  midBandEngine(state, Approach::DFLF, SchedulingMode::Chunked);
+  midBandEngine(state, Approach::DFLF);
 }
 BENCHMARK(BM_MidBandEngineDense);
 
-void BM_MidBandEngineWorklist(benchmark::State& state) {
-  midBandEngine(state, Approach::DFLF, SchedulingMode::Worklist);
-}
-BENCHMARK(BM_MidBandEngineWorklist);
-
 void BM_MidBandEngineDeltaPush(benchmark::State& state) {
-  midBandEngine(state, Approach::DeltaPush, SchedulingMode::Chunked);
+  midBandEngine(state, Approach::DeltaPush);
 }
 BENCHMARK(BM_MidBandEngineDeltaPush);
 
@@ -392,7 +332,7 @@ BENCHMARK(BM_MidBandEngineDeltaPush);
 // The PR 9 acceptance relationship: on a shared sub-1e-5-fraction
 // scenario (here 1e-6 |E| of the same scale-1 stand-in, numThreads=1),
 // one steady-state walk-repair step of the resident Monte Carlo store
-// must be >= 3x faster than an exact worklist re-solve of the same
+// must be >= 3x faster than an exact delta-push re-solve of the same
 // batch. Both series run in this process on an identical batch, so the
 // items/s ratio is exactly the runtime ratio — host-invariant like the
 // mid-band gate above. The comparison is deliberately asymmetric in
@@ -447,11 +387,11 @@ void BM_SmallBatchExactResolve(benchmark::State& state) {
   const DynamicScenario& s = smallBatchScenario();
   PageRankOptions opt = scaledOptions(s.curr.numVertices());
   opt.numThreads = 1;
-  // Worklist is the exact family's best scheduler at this fraction
-  // (BM_SparseFrontier*); gating against the strongest baseline.
-  opt.scheduling = SchedulingMode::Worklist;
+  // DeltaPush is the exact engine RankService's Auto routing runs on a
+  // batch this small, and the fastest exact engine at this fraction;
+  // gating against the strongest baseline.
   for (auto _ : state) {
-    const PageRankResult r = runOnScenario(Approach::DFLF, s, opt);
+    const PageRankResult r = runOnScenario(Approach::DeltaPush, s, opt);
     benchmark::DoNotOptimize(r.ranks.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -36,9 +36,9 @@ Options:
                       benchmark A is at least MIN x items/s of benchmark
                       B. Host-invariant (both sides ran on the same
                       machine), so it gates algorithmic relationships —
-                      e.g. the PR 5 sparse-frontier acceptance:
+                      e.g. the mid-band engine acceptance:
                         --require-new-ratio \\
-                          'BM_SparseFrontierWorklistS1/10/BM_SparseFrontierDenseS1/10:2.0'
+                          'BM_MidBandEngineDeltaPush/BM_MidBandEngineDense:1.1'
                       (A and B may contain '/'; the split is at the last
                       ':' and the '/' separating A from B is the one
                       before the second benchmark name, found by matching

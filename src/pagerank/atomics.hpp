@@ -146,7 +146,7 @@ class AtomicU8Vector {
   }
 
   /// Index of the first non-zero flag in [begin, end), or end if none —
-  /// the word-wide scan behind allZero, exposed so worklist partition
+  /// the word-wide scan behind allZero, exposed so DeltaPush partition
   /// reconciles cost one relaxed load per eight flags instead of a
   /// per-vertex byte loop (same monotone-read semantics as the scans).
   [[nodiscard]] std::size_t firstNonZero(std::size_t begin,

@@ -42,19 +42,19 @@
 // between the two team.run calls — crashed threads return early, so the
 // join cannot hang) does phase B start moving ranks.
 //
-// Publish diet (PR 5) — restricted. A healthy solve (fault == nullptr)
-// has NO takeover path at all: owners drain only their own partition and
-// quiescent peers only wait, so the owner is the partition's unique rank
-// writer and applies drains with plain load+store. Because nobody else
-// drains a partition, its owner must not leave while a peer can still
-// push into it: TeamQuiescence (delta_push.hpp) decides that exactly.
-// Under fault injection every apply is a ranks.fetchAdd and the worklist takeover paths (steal
-// + flag recovery sweep) switch on: unlike the pull engines' exchange —
-// which observes the value it overwrites and can re-mark — a lost
-// concurrent add is lost *mass* that nothing recomputes, so diet and
-// takeover are never combined. Concurrent drains of one vertex stay safe
-// in fault mode: the residual exchange hands the mass to exactly one
-// drainer and fetch-add applies commute.
+// Publish diet. A healthy solve (fault == nullptr) has NO takeover path
+// at all: owners drain only their own partition and quiescent peers
+// only wait, so the owner is the partition's unique rank writer and
+// applies drains with plain load+store. Because nobody else drains a
+// partition, its owner must not leave while a peer can still push into
+// it: TeamQuiescence (delta_push.hpp) decides that exactly. Under fault
+// injection every apply is a ranks.fetchAdd and the takeover paths
+// (ring steal + flag recovery sweep) switch on: unlike the pull engines'
+// exchange — which observes the value it overwrites and can re-mark — a
+// lost concurrent add is lost *mass* that nothing recomputes, so diet
+// and takeover are never combined. Concurrent drains of one vertex stay
+// safe in fault mode: the residual exchange hands the mass to exactly
+// one drainer and fetch-add applies commute.
 #include "pagerank/detail/delta_push.hpp"
 
 #include <algorithm>
@@ -271,8 +271,9 @@ void deltaPushWorker(const DeltaPushShared& s, int tid) {
   const int maxRounds = s.opt.maxIterations;
   const std::size_t oBegin = wl.ownedBegin(tid);
   const std::size_t oEnd = wl.ownedEnd(tid);
-  // Same sweep-equivalent round cap as lfWorklistWorker: one round is at
-  // most n drains, so maxIterations bounds comparable total work. Short
+  // Sweep-equivalent round cap: one round is at most n drains, the work
+  // of one dense pull sweep over all n vertices, so maxIterations bounds
+  // comparable total work in the push and pull engines. Short
   // passes (a few pops, a short flag scan) add their drains toward the
   // next round instead of counting a whole round each: on many cores a
   // worker makes thousands of them, and counting each as a round capped

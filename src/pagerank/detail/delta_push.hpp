@@ -9,12 +9,12 @@
 // forward-pushes `alpha * residual[v] * invOutDeg[v]` to each
 // out-neighbour with a lock-free fetch-add (AtomicF64Vector::fetchAdd;
 // no per-vertex spin-locks, unlike Ligra's PRDelta). A push that moves a
-// neighbour's residual across the activation threshold enters it into
-// the same WorkRing/WorklistScheduler machinery the PR 5 worklist uses
-// (WorklistScheduler::enqueue). Residual magnitudes decay geometrically
-// (alpha per hop), so total touched edges scale with the injected mass,
-// not with frontier-size times iterations — the mid-density fig7 band
-// where both pull schedulers do redundant work.
+// neighbour's residual across the activation threshold enters it onto
+// its owner's work ring (WorklistScheduler::enqueue, sched/work_ring.hpp).
+// Residual magnitudes decay geometrically (alpha per hop), so total
+// touched edges scale with the injected mass, not with frontier-size
+// times iterations — the mid-density fig7 band where the pull sweep
+// does redundant work.
 //
 // Convergence authority is unchanged: the PR 1 flag protocol decides
 // termination (flags, never residuals), and residual drains feed the

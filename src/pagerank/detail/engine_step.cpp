@@ -1,7 +1,6 @@
 #include "pagerank/detail/engine_step.hpp"
 
 #include <atomic>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -33,8 +32,7 @@ PageRankResult emptyGraphResult(const PageRankOptions& opt) {
 /// round cap and leave the run honestly unconverged.
 void finishResult(PageRankResult& result, const PageRankOptions& opt,
                   bool flagsClean, const std::atomic<int>& maxRound,
-                  const StepCounterSlots& counters,
-                  const WorklistScheduler* worklist) {
+                  const StepCounterSlots& counters) {
   result.converged = flagsClean;
   result.stopped = stopSeen(opt);
   result.toleranceBound =
@@ -42,7 +40,6 @@ void finishResult(PageRankResult& result, const PageRankOptions& opt,
                        : std::numeric_limits<double>::infinity();
   result.iterations = maxRound.load();
   counters.reduceInto(result);
-  if (worklist != nullptr) result.protocolStats.ringPushes = worklist->pushes();
 }
 
 }  // namespace
@@ -90,13 +87,6 @@ PageRankResult lfFullStep(LfEngineState& state, const CsrGraph& curr,
   std::atomic<int> maxRound{0};
   StepCounterSlots counters(team.size());
 
-  // Static/ND worklist solves start all-dirty: round 0 is a dense seeding
-  // sweep whose marks populate the rings (see lf_iterate.cpp).
-  std::unique_ptr<WorklistScheduler> worklist;
-  if (resolved.scheduling == SchedulingMode::Worklist)
-    worklist = std::make_unique<WorklistScheduler>(n, team.size(),
-                                                   /*seedSweep=*/true);
-
   const LfShared shared{curr,
                         state.ranks,
                         state.notConverged,
@@ -108,8 +98,7 @@ PageRankResult lfFullStep(LfEngineState& state, const CsrGraph& curr,
                         maxRound,
                         counters,
                         resolved,
-                        fault,
-                        worklist.get()};
+                        fault};
   const Stopwatch timer;
   team.run([&](int tid) {
     if (fault != nullptr && fault->crashed(tid)) return;
@@ -121,7 +110,7 @@ PageRankResult lfFullStep(LfEngineState& state, const CsrGraph& curr,
   PageRankResult result;
   result.timeMs = timer.elapsedMs();
   finishResult(result, resolved, state.notConverged.allZero(), maxRound,
-               counters, worklist.get());
+               counters);
   return result;
 }
 
@@ -146,10 +135,7 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
   state.residualValid = false;  // ranks will move outside residual tracking
   state.monteCarloValid = false;  // ...and outside walk maintenance
 
-  const bool useWorklist = resolved.scheduling == SchedulingMode::Worklist;
-  // Worklist solves detect convergence on the per-vertex flags; the
-  // per-chunk ablation only applies to the dense scheduler.
-  const bool perChunk = resolved.perChunkConvergence && !useWorklist;
+  const bool perChunk = resolved.perChunkConvergence;
   const std::size_t numChunks = (n + resolved.chunkSize - 1) / resolved.chunkSize;
   AtomicU8Vector chunkFlags(perChunk ? numChunks : 0, 0);
   AtomicU8Vector* chunkFlagsPtr = perChunk ? &chunkFlags : nullptr;
@@ -160,13 +146,6 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
   std::atomic<bool> allConverged{false};
   std::atomic<int> maxRound{0};
   StepCounterSlots counters(team.size());
-
-  // DT/DF worklist solves are ring-seeded by the marking phase and start
-  // in the sparse (ring-driven) phase directly.
-  std::unique_ptr<WorklistScheduler> worklist;
-  if (useWorklist)
-    worklist = std::make_unique<WorklistScheduler>(n, team.size(),
-                                                   /*seedSweep=*/false);
 
   const LfShared iterate{curr,
                          state.ranks,
@@ -179,8 +158,7 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
                          maxRound,
                          counters,
                          resolved,
-                         fault,
-                         worklist.get()};
+                         fault};
   const Stopwatch timer;
   team.run([&](int tid) {
     if (fault != nullptr && fault->crashed(tid)) return;
@@ -189,7 +167,7 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
                           state.affected, state.notConverged,
                           chunkFlagsPtr,  resolved.chunkSize,
                           markCursor, traverse,
-                          fault,      worklist.get()};
+                          fault,      /*worklist=*/nullptr};
     if (!markAffectedWorker(mark, tid, counters[tid])) return;  // crashed
     lfIterateWorker(iterate, tid);
   });
@@ -201,7 +179,7 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
   finishResult(result, resolved,
                chunkFlagsPtr != nullptr ? chunkFlags.allZero()
                                         : state.notConverged.allZero(),
-               maxRound, counters, worklist.get());
+               maxRound, counters);
   result.affectedVertices = state.affected.countNonZero();
   return result;
 }
@@ -241,10 +219,9 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
   std::atomic<int> maxRound{0};
   StepCounterSlots counters(team.size());
 
-  // Delta-push is worklist-driven by construction; the DF marking phase
-  // seeds the rings, so the solve starts sparse like any DT/DF worklist
-  // solve.
-  WorklistScheduler worklist(n, team.size(), /*seedSweep=*/false);
+  // Delta-push is worklist-driven by construction: the DF marking phase
+  // seeds the rings, and threshold crossings feed them afterwards.
+  WorklistScheduler worklist(n, team.size());
   TeamQuiescence quiescence(team.size());
 
   const DeltaPushShared shared{curr,        state.ranks, residual,
@@ -283,7 +260,8 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
   PageRankResult result;
   result.timeMs = timer.elapsedMs();
   finishResult(result, resolved, state.notConverged.allZero(), maxRound,
-               counters, &worklist);
+               counters);
+  result.protocolStats.ringPushes = worklist.pushes();
   state.residualValid = result.converged;
   result.affectedVertices = state.affected.countNonZero();
   return result;

@@ -1,7 +1,7 @@
 // The shared release-mark primitive of the lock-free termination
 // protocol (see the protocol comment in lf_iterate.cpp). Used by the
-// marking phase, the iteration core and the worklist scheduler so the
-// load-bearing properties live in exactly one place:
+// marking phase, the pull iteration core and DeltaPush's activations so
+// the load-bearing properties live in exactly one place:
 //
 //  * both stores are release RMWs (fetchOr) — plain stores would break
 //    the release sequences the acquire clears synchronize through, and
@@ -9,9 +9,9 @@
 //    rank publish stay invisible to a concurrent clear;
 //  * the vertex flag is marked BEFORE the chunk flag — the order
 //    clearChunkFlagAndReverify's acquire-rescan relies on;
-//  * under Worklist scheduling the ring enqueue comes AFTER the flag
-//    mark: a popped entry may then race a concurrent re-mark, but the
-//    flag is already visible to the clear-then-reverify path, so the
+//  * when a work ring is passed (DeltaPush), the enqueue comes AFTER the
+//    flag mark: a popped entry may then race a concurrent re-mark, but
+//    the flag is already visible to the clear-then-reverify path, so the
 //    mark can never be lost even if the enqueue is.
 #pragma once
 
@@ -24,8 +24,8 @@
 namespace lfpr::detail {
 
 /// Mark vertex w "not yet converged", plus its owning chunk when
-/// per-chunk flags are in use, plus the owner's dirty ring when Worklist
-/// scheduling is active.
+/// per-chunk flags are in use, plus its owner's ring when `worklist` is
+/// non-null (DeltaPush activations and its marking phase).
 inline void markVertexUnconverged(AtomicU8Vector& notConverged,
                                   AtomicU8Vector* chunkFlags,
                                   std::size_t chunkSize, std::size_t w,

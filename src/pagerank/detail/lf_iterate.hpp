@@ -20,7 +20,6 @@
 #include "pagerank/options.hpp"
 #include "sched/chunk_cursor.hpp"
 #include "sched/fault.hpp"
-#include "sched/work_ring.hpp"
 
 namespace lfpr::detail {
 
@@ -50,10 +49,6 @@ struct LfShared {
   StepCounterSlots& counters;
   const PageRankOptions& opt;
   FaultInjector* fault = nullptr;
-  /// Non-null when opt.scheduling == SchedulingMode::Worklist: the
-  /// per-thread dirty-vertex rings that replace the dense chunked sweep
-  /// (see the worklist + publish-diet note in lf_iterate.cpp).
-  WorklistScheduler* worklist = nullptr;
 };
 
 /// Body executed by each worker thread (tid) until convergence, crash, or

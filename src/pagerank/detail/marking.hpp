@@ -41,8 +41,8 @@ struct MarkShared {
   /// DF: mark only the immediate out-neighbours.
   bool traverse = false;
   FaultInjector* fault = nullptr;
-  /// Worklist scheduling: marks enqueue the vertex onto its owner's
-  /// dirty ring (the seeding channel for DT/DF worklist solves).
+  /// DeltaPush: marks also enqueue the vertex onto its owner's ring,
+  /// which seeds the push iteration. Null for the pull engines.
   WorklistScheduler* worklist = nullptr;
 };
 

@@ -6,7 +6,7 @@
 //           then a sequential visit-index rebuild + full rank sweep.
 //   repair  (non-empty batch) phase A marks batch-edge sources via the
 //           DF `affected` fetchOr and claims their visiting walks
-//           (claimed fetchOr 0->1, enqueue on the PR 5 rings); phase B
+//           (claimed fetchOr 0->1, enqueue on the work rings); phase B
 //           workers pop/steal walk ids and repair each exactly once;
 //           a sequential pass re-walks any claim a crashed or refused
 //           worker left behind, then merges per-thread logs (delta
@@ -250,8 +250,8 @@ bool mcRepairBatch(MonteCarloState& st, LfEngineState& state,
   std::unique_ptr<WorklistScheduler> privateScheduler;
   if (fault != nullptr || st.repairScheduler == nullptr ||
       st.repairScheduler->numThreads() != team.size())
-    privateScheduler = std::make_unique<WorklistScheduler>(
-        st.numWalks, team.size(), /*seedSweep=*/false);
+    privateScheduler =
+        std::make_unique<WorklistScheduler>(st.numWalks, team.size());
   WorklistScheduler& worklist =
       privateScheduler != nullptr ? *privateScheduler : *st.repairScheduler;
   const std::uint64_t pushesBefore = worklist.pushes();

@@ -26,9 +26,9 @@
 // the affected walks are exactly the visit-index entries of the batch
 // edges' source vertices. Each such walk is claimed lock-free (one
 // fetchOr per walk id — claimed exactly once no matter how many
-// changed vertices it visits), queued on the PR 5 work rings, and
-// repaired: truncate at its first affected visit, then re-walk from
-// there on the new snapshot. Expected work per edge update is O(1)
+// changed vertices it visits), queued on the work rings
+// (sched/work_ring.hpp), and repaired: truncate at its first affected
+// visit, then re-walk from there on the new snapshot. Expected work per edge update is O(1)
 // walks (each vertex is visited R * pi(v) * n / (1-alpha)... in
 // expectation a constant number of stored walk positions per root-R
 // budget), which is what makes the engine the sub-1e-5 batch-fraction

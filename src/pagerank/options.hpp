@@ -14,23 +14,6 @@
 
 namespace lfpr {
 
-/// How the lock-free engines find the vertices that still need work.
-enum class SchedulingMode : int {
-  /// Dense scan: workers sweep the whole vertex range in dynamic chunks
-  /// each round, filtered by the affected / notConverged flags. Cost per
-  /// iteration is O(|V|) regardless of how small the dirty set is — the
-  /// right default for static solves and large batches.
-  Chunked,
-  /// Sparse frontier: per-thread dirty-vertex rings (sched/work_ring.hpp)
-  /// drive the iteration, so cost per iteration is O(frontier + touched
-  /// edges). Opt-in; wins when a batch dirties a small fraction of the
-  /// graph (see the README scheduling-modes section for the crossover).
-  /// LF engines only — the barrier-based engines ignore it. Takes
-  /// precedence over `staticSchedule`; `perChunkConvergence` is ignored
-  /// (convergence is detected on the per-vertex flags).
-  Worklist,
-};
-
 struct PageRankOptions {
   /// Damping factor alpha.
   double alpha = 0.85;
@@ -53,8 +36,6 @@ struct PageRankOptions {
   /// dynamic chunks — the Eedi et al. scheduling the paper improves on
   /// (Section 3.3.2).
   bool staticSchedule = false;
-  /// Work-discovery scheme for the lock-free engines (see SchedulingMode).
-  SchedulingMode scheduling = SchedulingMode::Chunked;
   /// MonteCarlo only: R — random-walk segments rooted at every vertex.
   /// Accuracy scales as 1/sqrt(R) (error.hpp mcL1ErrorBound), memory and
   /// build time as R. See the README R/accuracy table.
@@ -92,8 +73,9 @@ struct ProtocolStats {
   std::uint64_t rePulls = 0;
   /// RMWs on the notConverged / chunk flags (marks and clears).
   std::uint64_t flagRmws = 0;
-  /// Successful dirty-vertex ring pushes (the engines that run on work
-  /// rings: Worklist scheduling, DeltaPush, MonteCarlo walk claims).
+  /// Successful work-ring pushes: DeltaPush activations and MonteCarlo
+  /// walk claims. Always zero for the pull engines, whose dense chunked
+  /// sweep finds its work through the flags.
   std::uint64_t ringPushes = 0;
   /// Residual fetch-adds into out-neighbours (DeltaPush only) — the
   /// push-engine analogue of per-edge pull work, so push-vs-pull

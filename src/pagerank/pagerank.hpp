@@ -69,11 +69,10 @@ PageRankResult dfLF(const CsrGraph& prev, const CsrGraph& curr, const BatchUpdat
 /// Lock-free delta-push residual engine (opt-in; not one of the paper's
 /// eight). DF marking seeds per-vertex residual accumulators, then
 /// workers forward-push only the changed mass through lock-free
-/// fetch-adds — built for the mid-density batch band where both pull
-/// schedulers do redundant work. opt.scheduling is ignored (the engine
-/// is worklist-driven by construction). A vertex activates when its
-/// residual crosses opt.tolerance, so the usual asyncToleranceBound
-/// certificate holds.
+/// fetch-adds — built for the mid-density batch band where the pull
+/// sweep does redundant work. The engine is worklist-driven by
+/// construction. A vertex activates when its residual crosses
+/// opt.tolerance, so the usual asyncToleranceBound certificate holds.
 PageRankResult deltaPush(const CsrGraph& prev, const CsrGraph& curr,
                          const BatchUpdate& batch,
                          std::span<const double> prevRanks,

@@ -1,34 +1,35 @@
-// Sparse-frontier worklist scheduling (SchedulingMode::Worklist).
+// Per-thread work rings for the two engines that find their work by
+// enqueueing it: DeltaPush activations (vertices whose residual crossed
+// the threshold, delta_push.cpp) and Monte Carlo walk claims (walk ids
+// to repair, monte_carlo.cpp). The pull engines do not use them; they
+// find their work with the dense chunked sweep (chunk_cursor.hpp),
+// filtered by the affected / notConverged flags.
 //
-// The dense scheduler (chunk_cursor.hpp) makes every iteration of a
-// lock-free engine cost O(|V|): workers sweep all vertices and filter by
-// the affected / notConverged flags. When a temporal batch dirties a few
-// hundred vertices that sweep dominates the solve. The worklist replaces
-// it with per-thread dirty-vertex rings, so an iteration costs
-// O(frontier + touched edges):
+//   * ids (vertices or walks) are partitioned into contiguous ownership
+//     blocks, one per worker thread;
+//   * whoever activates an id also enqueues it onto its owner's ring
+//     (deduplicated through a per-id `queued` flag, so each id has at
+//     most one in-flight ring entry);
+//   * the owner drains its own ring; under fault injection, survivors
+//     steal the entries a crashed owner left behind.
 //
-//   * vertices are partitioned into contiguous ownership blocks, one per
-//     worker thread;
-//   * whoever marks a vertex "not yet converged" also enqueues it onto
-//     its owner's ring (deduplicated through a per-vertex `queued` flag,
-//     so each vertex has at most one in-flight ring entry);
-//   * the owner drains its own ring instead of sweeping the vertex range.
-//
-// The rings are an *accelerator*, never the authority: the notConverged
-// flags of the termination protocol (lf_iterate.cpp) still decide
-// convergence, and an owner whose ring runs dry reconciles its partition
-// against the flags before declaring itself quiescent. A lost enqueue
-// (crashed marker, the benign pop/queued race below, or a full ring)
-// therefore delays a vertex at worst until the owner's next reconcile
-// sweep — it can never fake convergence.
+// The rings are an *accelerator*, never the authority. For DeltaPush the
+// notConverged flags of the termination protocol (lf_iterate.cpp,
+// delta_push.cpp) still decide convergence, and an owner whose ring runs
+// dry reconciles its partition against the flags before declaring
+// itself quiescent. For Monte Carlo the per-walk claim flags are the
+// record, and a sequential pass re-walks any claim no worker finished.
+// A lost enqueue (crashed marker, the benign pop/queued race below, or a
+// full ring) therefore delays an id at worst until that reconcile or
+// completion pass — it can never fake convergence or drop a repair.
 //
 // WorkRing is a bounded MPMC ring in the classic per-cell sequence-number
 // style: each cell carries an epoch that producers and consumers validate
 // with acquire/release before touching the payload, which is exactly the
-// hand-off point where the worklist keeps its protocol-bearing ordering
-// (see the publish-diet note in lf_iterate.cpp). Capacity is sized to the
-// ownership block, and the `queued` dedup guarantees at most one live
-// entry per owned vertex, so a push onto the owner's ring cannot fail in
+// hand-off point where DeltaPush keeps its protocol-bearing ordering
+// (see the publish-diet note in delta_push.cpp). Capacity is sized to
+// the ownership block, and the `queued` dedup guarantees at most one live
+// entry per owned id, so a push onto the owner's ring cannot fail in
 // practice; tryPush still reports overflow and enqueue() falls back to
 // flags-only marking for safety.
 #pragma once
@@ -135,22 +136,16 @@ class WorkRing {
   alignas(64) std::atomic<std::size_t> tail_{0};
 };
 
-/// Per-thread dirty-vertex rings plus the ownership map and the
-/// per-vertex dedup flags. One instance per solve, shared by all workers.
+/// Per-thread work rings plus the ownership map and the per-id dedup
+/// flags. One instance per solve, shared by all workers.
 class WorklistScheduler {
  public:
-  /// `seedSweep`: Static/ND engines start with every vertex dirty, so
-  /// the workers begin in the dense phase (full-protocol chunked sweeps
-  /// whose marks populate the rings) until the frontier is sparse —
-  /// see sparse() below. DT/DF engines seed the rings from the
-  /// batch-marking phase and start sparse.
-  WorklistScheduler(std::size_t numVertices, int numThreads, bool seedSweep)
+  WorklistScheduler(std::size_t numVertices, int numThreads)
       : n_(numVertices),
         threads_(numThreads < 1 ? 1 : numThreads),
         per_((numVertices + static_cast<std::size_t>(threads_) - 1) /
              static_cast<std::size_t>(threads_)),
-        queued_(numVertices, 0),
-        sparse_(!seedSweep) {
+        queued_(numVertices, 0) {
     if (per_ == 0) per_ = 1;
     for (int t = 0; t < threads_; ++t) {
       const std::size_t owned = ownedEnd(t) - ownedBegin(t);
@@ -159,23 +154,6 @@ class WorklistScheduler {
   }
 
   [[nodiscard]] int numThreads() const noexcept { return threads_; }
-
-  /// Hybrid dense/sparse switch. A solve that starts all-dirty
-  /// (Static/ND: seedSweep) gains nothing from rings until most vertices
-  /// have converged — ring-driven partition ownership would just iterate
-  /// each partition to a local fixpoint against stale foreign ranks. So
-  /// dense-start solves sweep through the shared chunk pool like the
-  /// dense scheduler and flip to ring-driven processing once the dirty
-  /// set falls below |V|/8 (one-way; the marks made during the dense
-  /// sweeps have been seeding the rings all along). Batch-seeded solves
-  /// (DT/DF) start sparse.
-  [[nodiscard]] bool sparse() const noexcept {
-    return sparse_.load(std::memory_order_relaxed);
-  }
-  void observeDensity(std::uint64_t dirtyCount) noexcept {
-    if (dirtyCount * 8 < static_cast<std::uint64_t>(n_) || n_ < 8)
-      sparse_.store(true, std::memory_order_relaxed);
-  }
 
   [[nodiscard]] int owner(std::size_t v) const noexcept {
     const auto t = static_cast<int>(v / per_);
@@ -268,7 +246,6 @@ class WorklistScheduler {
   std::size_t per_;
   AtomicU8Vector queued_;
   std::deque<WorkRing> rings_;
-  std::atomic<bool> sparse_{false};
   alignas(64) std::atomic<std::uint64_t> progress_{0};
 };
 

@@ -89,7 +89,7 @@ struct DurabilityOptions {
 
 struct ServiceOptions {
   /// Engine configuration for every solve the service runs. numThreads,
-  /// tolerance, scheduling mode etc. all apply; stopRequested is owned
+  /// tolerance, chunkSize etc. all apply; stopRequested is owned
   /// by the service and must be left null.
   PageRankOptions solver;
 

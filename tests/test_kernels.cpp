@@ -140,16 +140,9 @@ TEST_P(AlphaToleranceSweep, EnginesLandWithinDerivedBounds) {
   const auto bb = staticBB(g, opt);
   ASSERT_TRUE(bb.converged);
   EXPECT_LT(linfNorm(bb.ranks, ref), kSlack * syncToleranceBound(tolerance, alpha));
-  // The asynchronous engine must land within bounds under both work
-  // schedulers: the dense chunked sweep and the dirty-vertex worklist
-  // with its plain-store publish diet (PR 5).
-  for (SchedulingMode mode : {SchedulingMode::Chunked, SchedulingMode::Worklist}) {
-    opt.scheduling = mode;
-    const auto lf = staticLF(g, opt);
-    ASSERT_TRUE(lf.converged);
-    EXPECT_LT(linfNorm(lf.ranks, ref), kSlack * asyncToleranceBound(tolerance, alpha))
-        << "mode " << static_cast<int>(mode);
-  }
+  const auto lf = staticLF(g, opt);
+  ASSERT_TRUE(lf.converged);
+  EXPECT_LT(linfNorm(lf.ranks, ref), kSlack * asyncToleranceBound(tolerance, alpha));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -164,41 +157,6 @@ INSTANTIATE_TEST_SUITE_P(
       const int t = static_cast<int>(-std::log10(info.param.tolerance) + 0.5);
       return "alpha" + std::to_string(a) + "_tol1e" + std::to_string(t);
     });
-
-TEST(KernelEquivalence, WorklistSchedulingThroughDynamicEngines) {
-  // Scheduling through the ring-seeded marking phase: the worklist runs
-  // of DF/DT must match the reference within the same async
-  // stopping-rule bound as the dense runs.
-  const VertexId n = 1 << 9;
-  Rng rng(37);
-  auto es = generateRmat(9, 3000, rng);
-  appendSelfLoops(es, n);
-  const auto prev = CsrGraph::fromEdges(n, es);
-  BatchUpdate batch;
-  for (int i = 0; i < 40; ++i) {
-    const auto u = static_cast<VertexId>(rng.uniform() * n);
-    const auto v = static_cast<VertexId>(rng.uniform() * n);
-    const Edge e{std::min<VertexId>(u, n - 1), std::min<VertexId>(v, n - 1)};
-    if (!prev.hasEdge(e.src, e.dst)) batch.insertions.push_back(e);
-  }
-  auto all = prev.edges();
-  all.insert(all.end(), batch.insertions.begin(), batch.insertions.end());
-  const auto curr = CsrGraph::fromEdges(n, all);
-
-  const auto prevRanks = referenceRanks(prev);
-  const auto ref = referenceRanks(curr);
-  PageRankOptions opt;
-  opt.numThreads = 4;
-  opt.chunkSize = 64;
-  opt.scheduling = SchedulingMode::Worklist;
-  constexpr double kSlack = 8.0;
-  const double bound = kSlack * asyncToleranceBound(opt.tolerance, opt.alpha);
-  for (auto* fn : {&dfLF, &dtLF}) {
-    const auto r = (*fn)(prev, curr, batch, prevRanks, opt, nullptr);
-    ASSERT_TRUE(r.converged);
-    EXPECT_LT(linfNorm(r.ranks, ref), bound);
-  }
-}
 
 // ----- Delta-push equivalence: the residual engine against the same ------
 // ----- long-double-derived bounds as the pull engines                ------

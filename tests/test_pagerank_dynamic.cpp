@@ -201,108 +201,31 @@ TEST(DynamicPageRank, StabilityDeleteThenReinsert) {
   EXPECT_LT(linfNorm(afterReinsert.ranks, originalRanks), 1e-6);
 }
 
-// ----- Worklist scheduling (SchedulingMode::Worklist) ---------------------
-//
-// Every lock-free engine under both scheduling modes must land within the
-// error.hpp stopping-rule bounds of the reference ranks; the dense mode
-// is the existing behaviour, the worklist mode drives iteration from the
-// per-thread dirty rings (sched/work_ring.hpp).
-
-PageRankOptions worklistOptions() {
-  auto opt = testOptions();
-  opt.scheduling = SchedulingMode::Worklist;
-  return opt;
-}
-
-TEST(WorklistScheduling, AllLockFreeEnginesMatchReferenceInBothModes) {
+TEST(DynamicPageRank, AllLockFreeEnginesMatchReference) {
+  // Every lock-free pull engine must land within the error.hpp
+  // stopping-rule bound of the reference ranks.
   const auto scenario = makeScenario(rmatBase(9, 4000, 30), 1e-2, 31, testOptions());
   const auto ref = referenceRanks(scenario.curr);
   const double bound =
       8.0 * asyncToleranceBound(testOptions().tolerance, testOptions().alpha);
-  for (SchedulingMode mode : {SchedulingMode::Chunked, SchedulingMode::Worklist}) {
-    auto opt = testOptions();
-    opt.scheduling = mode;
-    for (Approach a :
-         {Approach::StaticLF, Approach::NDLF, Approach::DTLF, Approach::DFLF}) {
-      const auto r = runOnScenario(a, scenario, opt);
-      ASSERT_TRUE(r.converged)
-          << approachName(a) << " mode " << static_cast<int>(mode);
-      EXPECT_LT(linfNorm(r.ranks, ref), bound)
-          << approachName(a) << " mode " << static_cast<int>(mode);
-    }
+  for (Approach a :
+       {Approach::StaticLF, Approach::NDLF, Approach::DTLF, Approach::DFLF}) {
+    const auto r = runOnScenario(a, scenario, testOptions());
+    ASSERT_TRUE(r.converged) << approachName(a);
+    EXPECT_LT(linfNorm(r.ranks, ref), bound) << approachName(a);
   }
 }
 
-TEST(WorklistScheduling, SparseBatchTouchesFrontierNotGraph) {
-  // A 2-edge batch on a wide grid (the FewerRankUpdates setup): the
-  // worklist run must do work proportional to the frontier — far fewer
-  // rank updates than the full-sweep ND run, and no more than the dense
-  // DF run whose affected set it shares — and agree with the reference.
-  Rng rng(32);
-  constexpr VertexId kSide = 200;
-  auto es = symmetrize(generateGrid(kSide, kSide, 0.0, rng));
-  appendSelfLoops(es, kSide * kSide);
-  auto base = DynamicDigraph::fromEdges(kSide * kSide, es);
-  Rng batchRng(33);
-  const auto batch = generateBatch(base, 2, batchRng);
-  const auto scenario = makeScenarioWithBatch(std::move(base), batch, testOptions());
-  const auto ref = referenceRanks(scenario.curr);
-
-  const auto nd = ndLF(scenario.curr, scenario.prevRanks, testOptions());
-  const auto wl = dfLF(scenario.prev, scenario.curr, scenario.batch,
-                       scenario.prevRanks, worklistOptions());
-  ASSERT_TRUE(nd.converged);
-  ASSERT_TRUE(wl.converged);
-  const double bound =
-      8.0 * asyncToleranceBound(testOptions().tolerance, testOptions().alpha);
-  EXPECT_LT(linfNorm(wl.ranks, ref), bound);
-  EXPECT_GT(wl.affectedVertices, 0u);
-  EXPECT_LT(wl.affectedVertices, scenario.curr.numVertices() / 2);
-  EXPECT_LT(wl.rankUpdates, nd.rankUpdates / 2);
-}
-
-TEST(WorklistScheduling, EmptyBatchConvergesImmediately) {
-  auto base = rmatBase(8, 1500, 34);
-  const auto scenario =
-      makeScenarioWithBatch(std::move(base), BatchUpdate{}, worklistOptions());
-  for (Approach a : {Approach::DTLF, Approach::DFLF}) {
-    const auto r = runOnScenario(a, scenario, worklistOptions());
-    EXPECT_TRUE(r.converged) << approachName(a);
-    EXPECT_EQ(r.affectedVertices, 0u) << approachName(a);
-    EXPECT_LT(linfNorm(r.ranks, scenario.prevRanks), 1e-12) << approachName(a);
-  }
-}
-
-TEST(WorklistScheduling, SequenceOfBatchesStaysAccurate) {
-  auto base = rmatBase(8, 1500, 35);
-  const auto opt = worklistOptions();
-  auto ranks = staticBB(base.toCsr(), testOptions()).ranks;
-  Rng rng(36);
-  for (int step = 0; step < 4; ++step) {
-    const auto prev = base.toCsr();
-    const auto batch = generateBatch(base, 15, rng);
-    base.applyBatch(batch);
-    const auto curr = base.toCsr();
-    const auto r = dfLF(prev, curr, batch, ranks, opt);
-    ASSERT_TRUE(r.converged) << "step " << step;
-    ranks = r.ranks;
-    EXPECT_LT(linfNorm(ranks, referenceRanks(curr)), 1e-8) << "step " << step;
-  }
-}
-
-TEST(WorklistScheduling, ProtocolStatsCountedInEveryBuild) {
+TEST(DynamicPageRank, ProtocolStatsCountedInEveryBuild) {
   const auto scenario = makeScenario(rmatBase(8, 1500, 37), 1e-2, 38, testOptions());
-  for (const auto& opt : {testOptions(), worklistOptions()}) {
-    const bool worklist = opt.scheduling == SchedulingMode::Worklist;
-    const auto r = dfLF(scenario.prev, scenario.curr, scenario.batch,
-                        scenario.prevRanks, opt);
-    ASSERT_TRUE(r.converged) << "worklist=" << worklist;
-    EXPECT_GT(r.rankUpdates, 0u) << "worklist=" << worklist;
-    EXPECT_GT(r.protocolStats.rePulls, 0u) << "worklist=" << worklist;
-    EXPECT_GT(r.protocolStats.flagRmws, 0u) << "worklist=" << worklist;
-    EXPECT_EQ(r.protocolStats.ringPushes > 0u, worklist);
-    EXPECT_EQ(r.protocolStats.residualPushes, 0u) << "pull engines push nothing";
-  }
+  const auto r = dfLF(scenario.prev, scenario.curr, scenario.batch,
+                      scenario.prevRanks, testOptions());
+  ASSERT_TRUE(r.converged);
+  EXPECT_GT(r.rankUpdates, 0u);
+  EXPECT_GT(r.protocolStats.rePulls, 0u);
+  EXPECT_GT(r.protocolStats.flagRmws, 0u);
+  EXPECT_EQ(r.protocolStats.ringPushes, 0u) << "the pull sweep uses no rings";
+  EXPECT_EQ(r.protocolStats.residualPushes, 0u) << "pull engines push nothing";
 
   const auto push = deltaPush(scenario.prev, scenario.curr, scenario.batch,
                               scenario.prevRanks, testOptions());

@@ -59,49 +59,6 @@ TEST(Faults, NDLFConvergesUnderRandomDelays) {
   EXPECT_LT(linfNorm(r.ranks, referenceRanks(scenario.curr)), 1e-6);
 }
 
-// Worklist scheduling under faults: the publish diet is disabled (any
-// survivor may publish any vertex), crashed owners' rings are drained by
-// stealing, and the remaining dirt is completed by full-protocol
-// recovery sweeps — see lfWorklistWorker in lf_iterate.cpp.
-
-TEST(Faults, WorklistDFLFConvergesUnderRandomDelays) {
-  const auto scenario = makeFaultScenario(21);
-  const auto ref = referenceRanks(scenario.curr);
-  FaultConfig cfg;
-  cfg.delayProbability = 2e-4;
-  cfg.delayDuration = std::chrono::microseconds(2000);
-  FaultInjector fault(8, cfg);
-  auto opt = faultOptions();
-  opt.scheduling = SchedulingMode::Worklist;
-  const auto r = dfLF(scenario.prev, scenario.curr, scenario.batch,
-                      scenario.prevRanks, opt, &fault);
-  EXPECT_TRUE(r.converged);
-  EXPECT_LT(linfNorm(r.ranks, ref), 1e-6);
-}
-
-TEST(Faults, WorklistDFLFSurvivesCrashedThreads) {
-  const auto scenario = makeFaultScenario(22);
-  const auto ref = referenceRanks(scenario.curr);
-  auto opt = faultOptions();
-  opt.scheduling = SchedulingMode::Worklist;
-  FaultInjector fault(8, makeCrashConfig(8, 4, 50, 3000, 23));
-  const auto r = dfLF(scenario.prev, scenario.curr, scenario.batch,
-                      scenario.prevRanks, opt, &fault);
-  EXPECT_TRUE(r.converged);
-  EXPECT_FALSE(r.dnf);
-  EXPECT_LT(linfNorm(r.ranks, ref), 1e-6);
-}
-
-TEST(Faults, WorklistStaticLFSurvivesCrashes) {
-  const auto scenario = makeFaultScenario(24);
-  auto opt = faultOptions();
-  opt.scheduling = SchedulingMode::Worklist;
-  FaultInjector fault(8, makeCrashConfig(8, 4, 50, 3000, 25));
-  const auto r = staticLF(scenario.curr, opt, &fault);
-  EXPECT_TRUE(r.converged);
-  EXPECT_LT(linfNorm(r.ranks, referenceRanks(scenario.curr)), 1e-6);
-}
-
 class CrashSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CrashSweep, DFLFSurvivesCrashedThreads) {

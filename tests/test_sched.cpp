@@ -1,6 +1,6 @@
 // Unit tests for src/sched: lock-free chunk scheduling, thread team,
 // CPU placement hint, instrumented barrier (wait accounting, breakage),
-// fault injection, dirty-vertex work rings (worklist scheduling).
+// fault injection, the work rings DeltaPush and Monte Carlo run on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -302,7 +302,7 @@ TEST(MakeCrashConfig, IsDeterministic) {
   EXPECT_EQ(a.crashAfterUpdates, b.crashAfterUpdates);
 }
 
-// ----- WorkRing / WorklistScheduler (worklist scheduling) ----------------
+// ----- WorkRing / WorklistScheduler (DeltaPush / Monte Carlo rings) ------
 
 TEST(WorkRing, FifoSingleThread) {
   WorkRing ring(8);
@@ -375,7 +375,7 @@ TEST(WorklistScheduler, PartitionCoversVertexRangeExactlyOnce) {
                                   {7, 8},
                                   {4096, 3},
                                   {1, 1}}) {
-    WorklistScheduler wl(n, threads, /*seedSweep=*/false);
+    WorklistScheduler wl(n, threads);
     std::size_t covered = 0;
     for (int t = 0; t < wl.numThreads(); ++t) {
       EXPECT_LE(wl.ownedBegin(t), wl.ownedEnd(t));
@@ -388,7 +388,7 @@ TEST(WorklistScheduler, PartitionCoversVertexRangeExactlyOnce) {
 }
 
 TEST(WorklistScheduler, EnqueueDeduplicatesUntilPopped) {
-  WorklistScheduler wl(64, 2, /*seedSweep=*/false);
+  WorklistScheduler wl(64, 2);
   wl.enqueue(5);
   wl.enqueue(5);  // dedup: still one in-flight entry
   VertexId v = 0;
@@ -401,7 +401,7 @@ TEST(WorklistScheduler, EnqueueDeduplicatesUntilPopped) {
 }
 
 TEST(WorklistScheduler, EnqueueRoutesToOwnerRing) {
-  WorklistScheduler wl(100, 4, /*seedSweep=*/false);
+  WorklistScheduler wl(100, 4);
   for (std::size_t v = 0; v < 100; ++v) wl.enqueue(v);
   std::vector<std::uint8_t> seen(100, 0);
   for (int t = 0; t < 4; ++t) {
@@ -416,7 +416,7 @@ TEST(WorklistScheduler, EnqueueRoutesToOwnerRing) {
 }
 
 TEST(WorklistScheduler, StealDrainsForeignRings) {
-  WorklistScheduler wl(64, 4, /*seedSweep=*/false);
+  WorklistScheduler wl(64, 4);
   wl.enqueue(2);   // ring 0
   wl.enqueue(63);  // ring 3
   std::vector<VertexId> got;
@@ -432,7 +432,7 @@ TEST(WorklistScheduler, ConcurrentMarkersNeverExceedOneEntryPerVertex) {
   // at <= 1 ring entry, and owner-sized rings must therefore never refuse
   // a push (WorklistScheduler::enqueue's overflow valve stays cold).
   constexpr std::size_t kN = 32;
-  WorklistScheduler wl(kN, 2, /*seedSweep=*/false);
+  WorklistScheduler wl(kN, 2);
   std::atomic<bool> stop{false};
   std::vector<std::atomic<int>> inFlight(kN);
 

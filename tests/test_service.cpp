@@ -732,12 +732,6 @@ TEST(Service, StopAbortsInFlightSolvePromptly) {
   EXPECT_FALSE(r.converged);
   EXPECT_TRUE(std::isinf(r.toleranceBound));
 
-  PageRankOptions wopt = opt;
-  wopt.scheduling = SchedulingMode::Worklist;
-  const auto rw = staticLF(graph, wopt);
-  EXPECT_TRUE(rw.stopped);
-  EXPECT_FALSE(rw.converged);
-
   const auto rb = staticBB(graph, opt);
   EXPECT_TRUE(rb.stopped);
   EXPECT_FALSE(rb.converged);
