@@ -32,6 +32,12 @@
 // the engine's *statistical* mcL1ErrorBound scale — orders of magnitude
 // above the exact engines' tolerance-band L-inf numbers by design;
 // comparable only against mcL1ErrorBound(alpha, R), not tau.
+//
+// Exit status: non-zero when any DFLF result's L-inf error exceeds the
+// toleranceBound certificate it reports (error.hpp). A correctness
+// check, not a timing gate; the offending graph, fraction, error and
+// bound are printed.
+#include <algorithm>
 #include <map>
 
 #include "bench_common.hpp"
@@ -67,6 +73,8 @@ int main() {
   std::map<double, std::vector<double>> mcRepairMs, mcL1Err;
   std::map<double, std::vector<double>> dflfErr, dfbbErr, ndlfErr;
   std::map<double, std::vector<double>> affectedShare;
+  std::vector<std::string> boundViolations;
+  double worstErrOverBound = 0.0;
 
   for (std::size_t di = 0; di < specs.size(); ++di) {
     const auto& spec = specs[di];
@@ -134,8 +142,17 @@ int main() {
       mcRepairMs[fraction].push_back(mcMs);
       mcL1Err[fraction].push_back(l1Norm(mcState.ranks.toVector(), ref));
 
+      const double dfLfErr = linfNorm(dfLfResult.ranks, ref);
+      worstErrOverBound =
+          std::max(worstErrOverBound, dfLfErr / dfLfResult.toleranceBound);
+      if (!(dfLfErr <= dfLfResult.toleranceBound))
+        boundViolations.push_back(
+            spec.name + " batch_frac=" + Table::sci(fraction, 0) +
+            " DFLF_err=" + Table::sci(dfLfErr, 2) +
+            " toleranceBound=" + Table::sci(dfLfResult.toleranceBound, 2));
+
       for (Approach a : kApproaches) runtimes[a][fraction].push_back(ms[a]);
-      dflfErr[fraction].push_back(linfNorm(dfLfResult.ranks, ref));
+      dflfErr[fraction].push_back(dfLfErr);
       dfbbErr[fraction].push_back(linfNorm(dfBbResult.ranks, ref));
       ndlfErr[fraction].push_back(linfNorm(ndLfResult.ranks, ref));
       affectedShare[fraction].push_back(
@@ -148,7 +165,7 @@ int main() {
                     bench::fmtMs(ms[Approach::NDLF]), bench::fmtMs(ms[Approach::DFLF]),
                     bench::fmtMs(pushMs), bench::fmtMs(mcMs),
                     Table::count(dfLfResult.affectedVertices),
-                    Table::sci(linfNorm(dfLfResult.ranks, ref), 1)});
+                    Table::sci(dfLfErr, 1)});
       if (fraction == kFractions[0])
         bench::printProtocolStats(spec.name + "/DFLF_push", pushResult);
     }
@@ -194,5 +211,14 @@ int main() {
                 "tau = 1e-3/|V|: the paper's tolerance relative to 1/|V|"});
   }
   err.print(std::cout);
+
+  if (!boundViolations.empty()) {
+    std::cout << "\nFAIL: DFLF error above its reported toleranceBound:\n";
+    for (const std::string& v : boundViolations) std::cout << "  " << v << '\n';
+    return 1;
+  }
+  std::cout << "\ncheck: every DFLF error is within its toleranceBound "
+               "(worst DFLF_err/toleranceBound = "
+            << Table::num(worstErrOverBound, 2) << ")\n";
   return 0;
 }

@@ -50,16 +50,17 @@ namespace lfpr::detail {
 // earlier round, the late mover would otherwise stay invisible to the
 // convergence scan forever.
 //
-// RMW diet (PR 2). Three accesses were relaxed; none is load-bearing for
-// the protocol above, whose four invariants — marks are release RMWs,
+// RMW diet. Three accesses were relaxed (a-c) and one redundant scan is
+// skipped (d); none is load-bearing for the protocol above, whose four invariants — marks are release RMWs,
 // clears are acquire RMWs followed by reverify, deltas are measured
 // against the value the exchange actually overwrote, and the post-join
 // finish pass absorbs in-flight re-marks — all still hold:
 //
 //  a. expandFrontier stores `affected` only when it reads 0. The affected
 //     bitmap is monotone within a run and tested only against zero; the
-//     rank publish is carried by the unconditional notConverged /
-//     chunkFlags release marks, never by the affected store.
+//     rank publish is carried by the notConverged / chunkFlags release
+//     marks (made for every move above tau, never skipped because the
+//     flag already reads 1), never by the affected store.
 //  b. The clear-then-reverify re-pull is skipped when the acquire
 //     exchange returns 0 (a concurrent clearer already erased the mark
 //     and owns the reverify for it). Only a clear that destroys a mark
@@ -69,8 +70,19 @@ namespace lfpr::detail {
 //     reads with no ordering role — the authoritative detection remains
 //     the flags themselves plus the post-join finish pass — so widening
 //     the load changes bandwidth, not semantics.
+//  d. A vertex's out-neighbours are marked affected once per run: the
+//     first expansion sets kFrontierExpanded in the vertex's own affected
+//     byte, and later expansions below tau skip the out-list scan, which
+//     would only re-read flags that are already set (the graph and the
+//     affected set are fixed and monotone within a run). Expansions above
+//     tau still walk the list for the release marks. A racing
+//     markAffected store can erase the bit; that only costs one more scan.
 
 namespace {
+
+/// Bit in affected[v]: v's out-neighbours are already marked affected in
+/// this run (RMW-diet item d).
+constexpr std::uint8_t kFrontierExpanded = 2;
 
 /// Loop-exit test of the worker's round and chunk loops: global
 /// convergence or a cooperative stop request (common.hpp stopSeen).
@@ -98,25 +110,34 @@ void countMarks(const LfShared& s, StepCounters& cnt, std::size_t marks) {
 }
 
 /// Dynamic Frontier expansion: v's rank moved by more than tau_f, so its
-/// out-neighbours become affected and unconverged. The caller has already
-/// published v's new rank, so the release marks carry it (part 1 above).
-///
-void expandFrontier(const LfShared& s, StepCounters& cnt, VertexId v) {
+/// out-neighbours join the affected set and are pulled in every later
+/// round of this run. Only a move above tau (`wake`) also marks them
+/// unconverged, which keeps the run going until they have pulled it; a
+/// smaller move may end the run unpulled, the slack the bound in
+/// error.hpp (asyncToleranceBound) budgets for. When marks are made, the
+/// caller has already published v's new rank, so the release marks carry
+/// it (part 1 above).
+void expandFrontier(const LfShared& s, StepCounters& cnt, VertexId v,
+                    bool wake) {
+  const std::uint8_t a = s.affected->load(v);
+  const bool expanded = (a & kFrontierExpanded) != 0;
+  if (expanded && !wake) return;
   const auto out = s.graph.out(v);
   for (VertexId w : out) {
-    markAffected(*s.affected, w);
-    markUnconverged(s, w);
+    if (!expanded) markAffected(*s.affected, w);
+    if (wake) markUnconverged(s, w);
   }
-  countMarks(s, cnt, out.size());
+  if (wake) countMarks(s, cnt, out.size());
+  if (!expanded) s.affected->store(v, a | kFrontierExpanded);
 }
 
-/// Out-neighbour wakeup after publishing v with delta dr: DF expansion
-/// when enabled and dr exceeds the frontier tolerance — the "a change
-/// this small no longer matters downstream" threshold the DF error
-/// analysis rests on (Section 4.5).
+/// Out-neighbour wakeup after publishing v with delta dr, DF-BB's rule:
+/// above the frontier tolerance tau_f the neighbours become affected,
+/// above the iteration tolerance tau they also become unconverged. A
+/// change below tau_f no longer matters downstream (Section 4.5).
 void wakeNeighbours(const LfShared& s, StepCounters& cnt, VertexId v,
-                    double dr, double tauF) {
-  if (s.expandFrontier && dr > tauF) expandFrontier(s, cnt, v);
+                    double dr, double tauF, double tau) {
+  if (s.expandFrontier && dr > tauF) expandFrontier(s, cnt, v, dr > tau);
 }
 
 /// Pull-update vertex v once and maintain its convergence flags per the
@@ -130,7 +151,7 @@ void updateVertex(const LfShared& s, StepCounters& cnt, VertexId v,
   const double dr = std::fabs(r - s.ranks.exchange(v, r));
   ++cnt.rankUpdates;
 
-  wakeNeighbours(s, cnt, v, dr, tauF);
+  wakeNeighbours(s, cnt, v, dr, tauF, tau);
 
   if (dr > tau) {
     anyUnconverged = true;
@@ -152,7 +173,7 @@ void updateVertex(const LfShared& s, StepCounters& cnt, VertexId v,
       const double dr2 = std::fabs(r2 - s.ranks.exchange(v, r2));
       ++cnt.rankUpdates;
       ++cnt.rePulls;
-      wakeNeighbours(s, cnt, v, dr2, tauF);
+      wakeNeighbours(s, cnt, v, dr2, tauF, tau);
       if (dr2 > tau) {
         anyUnconverged = true;
         markUnconverged(s, v);

@@ -32,8 +32,9 @@ struct LfShared {
   AtomicU8Vector& notConverged;
   /// When set, only vertices with affected[v] != 0 are processed.
   AtomicU8Vector* affected = nullptr;
-  /// Dynamic Frontier expansion: mark out-neighbours affected (and not
-  /// converged) when a vertex's rank moves by more than tau_f.
+  /// Dynamic Frontier expansion: mark out-neighbours affected when a
+  /// vertex's rank moves by more than tau_f, and also not converged when
+  /// it moves by more than tau (DF-BB's rule).
   bool expandFrontier = false;
   /// Optional per-chunk converged flags (DF-LF ablation, Section 4.3):
   /// index = vertex / chunkSize; when present, convergence is detected by

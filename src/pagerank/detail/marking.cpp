@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "pagerank/detail/common.hpp"
 #include "pagerank/detail/flags.hpp"
 
 namespace lfpr::detail {
@@ -12,9 +13,11 @@ namespace {
 // helping rescan can re-mark a vertex while another thread is already
 // iterating (and clearing flags), so marking participates in the same
 // release-sequence protocol as the frontier expansion — see the
-// termination-protocol comment in lf_iterate.cpp.
+// termination-protocol comment in lf_iterate.cpp. The affected store is
+// not part of that protocol, so it is skipped when the flag is already
+// set (markAffected, RMW-diet item a).
 void markVertex(const MarkShared& s, StepCounters& cnt, VertexId w) {
-  s.affected.store(w, 1);
+  markAffected(s.affected, w);
   markVertexUnconverged(s.notConverged, s.chunkFlags, s.chunkSize, w,
                         s.worklist);
   cnt.flagRmws += s.chunkFlags != nullptr ? 2 : 1;

@@ -34,6 +34,32 @@ inline double syncToleranceBound(double tolerance, double alpha) noexcept {
 /// e <= tolerance + alpha * e, i.e. ||r - r*||_inf <= tolerance /
 /// (1 - alpha). Tests multiply by a small empirical slack for scheduling
 /// jitter (rollback stores may each inject up to one extra tolerance).
+///
+/// Dynamic Frontier wakeup. DF-LF, like DF-BB, marks a vertex's
+/// out-neighbours affected when its rank moves by more than tau_f, but
+/// unconverged only when it moves by more than `tolerance`. A run can
+/// therefore end while an affected vertex w has not pulled an
+/// in-neighbour's last move: w joined the frontier on that move (DF-BB:
+/// during the last sweep), or had already cleared its flag. The bound
+/// still holds. w's rank is exactly the pull r_w = base + alpha *
+/// sum_u r^_u / d_u over the in-neighbour ranks r^ it read, so
+///   |r_w - r*_w| <= alpha * max_u (|r^_u - r_u| + |r_u - r*_u|)
+///               <= alpha * (lag + e),
+/// where lag is the largest in-neighbour move w has not pulled, and the
+/// in-weights sum_u 1/d_u are taken as <= 1, the idealisation behind
+/// both bounds above. A move above tolerance sets w's flag, and the
+/// flag is cleared only by a pull of w after the mark (clear-then-
+/// reverify), so lag <= tolerance. Hence e <= alpha * (tolerance + e),
+/// i.e. e <= tolerance * alpha / (1 - alpha): the DF-BB certificate
+/// (syncToleranceBound), below this one by the factor alpha. A vertex
+/// outside the frontier lags only by moves of at most tau_f, the
+/// Section 4.5 assumption the wake rule does not change. Waking at
+/// tau_f (lag <= tau_f) would meet a 1000x tighter bound than this
+/// certificate, at the cost of iterating to tau_f. The model counts one
+/// unpulled move per in-neighbour; a fast thread lapping a slow one can
+/// leave several, so this is a model, not a proof, and the property
+/// suite checks it (DfStepSequence: converged => error <= bound after
+/// every step of multi-step runs, slack 1.0).
 inline double asyncToleranceBound(double tolerance, double alpha) noexcept {
   return tolerance / (1.0 - alpha);
 }

@@ -20,7 +20,9 @@ struct PageRankOptions {
   /// Iteration tolerance tau (L-inf over consecutive iterations).
   double tolerance = 1e-10;
   /// Frontier tolerance tau_f: a rank change above this marks the
-  /// vertex's out-neighbours as affected (Dynamic Frontier only).
+  /// vertex's out-neighbours as affected (Dynamic Frontier only). It
+  /// only grows the frontier: a neighbour is woken (marked unconverged)
+  /// by a change above `tolerance`, so runs stop at tau, not tau_f.
   double frontierTolerance = 1e-13;
   /// Iteration cap (paper: 500).
   int maxIterations = 500;

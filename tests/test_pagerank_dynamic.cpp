@@ -173,6 +173,34 @@ TEST(DynamicFrontier, FewerRankUpdatesThanNaiveDynamicOnLocalUpdate) {
   EXPECT_LT(df.affectedVertices, scenario.curr.numVertices() / 2);
 }
 
+TEST(DynamicFrontier, LockFreeDoesAboutBarrierBasedWorkOnLocalUpdate) {
+  // DF-LF wakes an out-neighbour (marks it unconverged) only when a rank
+  // moves by more than tau, DF-BB's rule; tau_f only grows the frontier.
+  // On one thread, where both counts are deterministic, it then does
+  // about DF-BB's rank updates on a local batch. Waking at tau_f would
+  // iterate the frontier to tau/1000, 2.8x DF-BB's updates here.
+  constexpr double kMaxUpdatesOverDfBb = 1.5;
+  Rng rng(12);
+  constexpr VertexId kSide = 200;
+  auto es = symmetrize(generateGrid(kSide, kSide, 0.0, rng));
+  appendSelfLoops(es, kSide * kSide);
+  auto base = DynamicDigraph::fromEdges(kSide * kSide, es);
+  Rng batchRng(13);
+  const auto batch = generateBatch(base, 2, batchRng);
+  auto opt = testOptions();
+  opt.numThreads = 1;
+  const auto scenario = makeScenarioWithBatch(std::move(base), batch, opt);
+  const auto bb = dfBB(scenario.prev, scenario.curr, scenario.batch,
+                       scenario.prevRanks, opt);
+  const auto lf = dfLF(scenario.prev, scenario.curr, scenario.batch,
+                       scenario.prevRanks, opt);
+  ASSERT_TRUE(bb.converged);
+  ASSERT_TRUE(lf.converged);
+  EXPECT_LE(static_cast<double>(lf.rankUpdates),
+            kMaxUpdatesOverDfBb * static_cast<double>(bb.rankUpdates))
+      << "DFLF " << lf.rankUpdates << " vs DFBB " << bb.rankUpdates;
+}
+
 TEST(DynamicPageRank, StabilityDeleteThenReinsert) {
   // Section 5.2.3: delete a batch, update, re-insert it, update again; the
   // final ranks must match the original ones.

@@ -10,6 +10,7 @@
 #include "generate/batch_gen.hpp"
 #include "generate/generators.hpp"
 #include "harness/scenario.hpp"
+#include "pagerank/detail/engine_step.hpp"
 #include "pagerank/pagerank.hpp"
 #include "util/rng.hpp"
 
@@ -204,6 +205,66 @@ TEST(FrontierTolProperty, LargerToleranceNeverMarksMore) {
     lastAffected = r.affectedVertices;
   }
 }
+
+// ----- DF-LF certificate across service-style step sequences ---------------
+
+struct StepSequenceParam {
+  double batchFraction;
+  int threads;
+  std::uint64_t seed;  // graph and batches
+};
+
+class DfStepSequence : public ::testing::TestWithParam<StepSequenceParam> {};
+
+// The service's pull path: one LfEngineState, a full solve, then batch
+// steps through detail::lfDynamicStep with DF semantics. Neighbours are
+// woken at tau, not tau_f, so a step can end with unpulled in-neighbour
+// moves of up to tau (error.hpp); the certificate must still hold after
+// every step, at slack 1.0, so error cannot build up across steps.
+TEST_P(DfStepSequence, EveryConvergedStepMeetsToleranceBound) {
+  constexpr int kSteps = 6;
+  constexpr int kRmatScale = 11;
+  const auto& p = GetParam();
+  auto opt = testOptions();
+  opt.numThreads = p.threads;
+  SCOPED_TRACE("seed=" + std::to_string(p.seed));
+  Rng rng(p.seed);
+  const VertexId n = VertexId{1} << kRmatScale;
+  auto es = generateRmat(kRmatScale, 16000, rng);
+  appendSelfLoops(es, n);
+  auto graph = DynamicDigraph::fromEdges(n, es);
+  detail::LfEngineState state(n);
+  state.seedRanks(std::vector<double>(n, 1.0 / static_cast<double>(n)));
+  CsrGraph curr = graph.toCsr();
+  ASSERT_TRUE(detail::lfFullStep(state, curr, opt, nullptr).converged);
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE("step=" + std::to_string(step));
+    const BatchUpdate batch = generateBatchFraction(graph, p.batchFraction, rng);
+    const CsrGraph prev = std::move(curr);
+    graph.applyBatch(batch);
+    curr = graph.toCsr();
+    const auto r = detail::lfDynamicStep(state, prev, curr, batch, opt,
+                                         nullptr, /*traverse=*/false,
+                                         /*expandFrontier=*/true, "test");
+    ASSERT_TRUE(r.converged);
+    EXPECT_LE(linfNorm(state.ranks.toVector(), referenceRanks(curr, opt.alpha)),
+              r.toleranceBound);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FractionsAndThreads, DfStepSequence,
+    ::testing::Values(StepSequenceParam{1e-5, 1, 801}, StepSequenceParam{1e-5, 4, 802},
+                      StepSequenceParam{1e-4, 1, 803}, StepSequenceParam{1e-4, 4, 804},
+                      StepSequenceParam{1e-3, 1, 805}, StepSequenceParam{1e-3, 4, 806},
+                      StepSequenceParam{1e-2, 1, 807}, StepSequenceParam{1e-2, 4, 808}),
+    [](const ::testing::TestParamInfo<StepSequenceParam>& info) {
+      std::string name("e");
+      name += std::to_string(
+          -static_cast<int>(std::round(std::log10(info.param.batchFraction))));
+      name += "_t" + std::to_string(info.param.threads);
+      return name;
+    });
 
 // ----- Batch composition sweep ---------------------------------------------
 
