@@ -20,12 +20,6 @@ PageRankResult dynamicBB(const CsrGraph& prev, const CsrGraph& curr,
   checkStepInputs(prev, curr, batch, prevRanks.size(),
                   traverse ? "dtBB" : "dfBB");
   const std::size_t n = curr.numVertices();
-  if (n == 0) {
-    PageRankResult result;
-    result.converged = true;
-    return result;
-  }
-
   const std::vector<Edge> edges = concatBatch(batch);
   AtomicU8Vector affected(n, 0);
   AtomicU8Vector notConverged(n, 0);  // unused by BB iterate; fed by marking

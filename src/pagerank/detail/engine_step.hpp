@@ -136,7 +136,7 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
 /// mcMaxWalkLength, mcSeed, alpha) changed, the walks are (re)built on
 /// `prev` first; then a non-empty `batch` is repaired into the store
 /// against the prev/curr snapshot pair (walk claims via the DF marks +
-/// work rings). Ranks land in state.ranks as everywhere else;
+/// per-walk claim flags). Ranks land in state.ranks as everywhere else;
 /// result.monteCarlo is set and result.toleranceBound carries the
 /// *statistical* mcL1ErrorBound, not a §4.5 certificate. With an empty
 /// batch the caller asserts prev and curr are the same snapshot.

@@ -6,17 +6,17 @@
 //           then a sequential visit-index rebuild + full rank sweep.
 //   repair  (non-empty batch) phase A marks batch-edge sources via the
 //           DF `affected` fetchOr and claims their visiting walks
-//           (claimed fetchOr 0->1, enqueue on the work rings); phase B
-//           workers pop/steal walk ids and repair each exactly once;
-//           a sequential pass re-walks any claim a crashed or refused
-//           worker left behind, then merges per-thread logs (delta
-//           index entries, rank refresh over touched vertices) and
-//           clears the marks it set.
+//           (claimed fetchOr 0->1, appended to the claimer's log);
+//           phase B workers take chunks of the concatenated claim list
+//           and repair each walk exactly once; a sequential pass
+//           re-walks any claim a crashed worker left behind, then
+//           merges per-thread logs (delta index entries, rank refresh
+//           over touched vertices) and clears the marks it set.
 //
 // Fault-injection protocol: the crash poll sits at *walk* boundaries
 // only, and a walk's effects (visit decrements, vertex rewrite, visit
 // increments) run between polls — so a simulated crash can abandon
-// queued walks but never leave a half-repaired one, and the sequential
+// claimed walks but never leave a half-repaired one, and the sequential
 // completion pass finds every abandoned claim still at 1. The marking
 // half runs sequentially when a FaultInjector is armed: a crash inside
 // the parallel mark-winner gate could otherwise strand unclaimed walks
@@ -48,7 +48,6 @@
 #include "pagerank/error.hpp"
 #include "sched/chunk_cursor.hpp"
 #include "sched/thread_team.hpp"
-#include "sched/work_ring.hpp"
 #include "util/framed_file.hpp"
 #include "util/timer.hpp"
 
@@ -58,6 +57,10 @@ namespace {
 
 /// Walk-id chunk for the parallel build.
 constexpr std::size_t kWalkChunkSize = 256;
+/// Claim-list chunk for the parallel repair: a repair re-walks only a
+/// suffix and repair sets are small, so chunks are finer than the
+/// build's to spread them across the team.
+constexpr std::size_t kRepairChunkSize = 64;
 
 /// Continue/stop coin: continue while the 53-bit uniform is below alpha.
 bool mcContinues(std::uint64_t draw, double alpha) noexcept {
@@ -103,14 +106,10 @@ struct McLog {
 
 /// Claim every walk the visit index lists for `u` (base CSR + delta
 /// chain). fetchOr makes the claim idempotent: a walk visiting several
-/// changed vertices is claimed and queued exactly once.
-void mcClaimWalksAt(MonteCarloState& st, VertexId u, McLog& log,
-                    WorklistScheduler& worklist) {
+/// changed vertices is claimed and logged exactly once.
+void mcClaimWalksAt(MonteCarloState& st, VertexId u, McLog& log) {
   const auto tryClaim = [&](std::uint32_t w) {
-    if (st.claimed.fetchOr(w, 1) == 0) {
-      log.claims.push_back(w);
-      worklist.enqueue(w);
-    }
+    if (st.claimed.fetchOr(w, 1) == 0) log.claims.push_back(w);
   };
   for (std::uint64_t i = st.indexOffsets[u]; i < st.indexOffsets[u + 1]; ++i)
     tryClaim(st.indexWalks[i]);
@@ -243,19 +242,6 @@ bool mcRepairBatch(MonteCarloState& st, LfEngineState& state,
   const std::uint64_t epoch = st.epoch + 1;
   std::vector<McLog> logs(static_cast<std::size_t>(team.size()));
 
-  // Scheduler reuse (see MonteCarloState::repairScheduler): clean steps
-  // run on the cached instance; fault-armed steps get a private one (a
-  // simulated crash abandons ring entries, leaving it dirty) and never
-  // touch the cache.
-  std::unique_ptr<WorklistScheduler> privateScheduler;
-  if (fault != nullptr || st.repairScheduler == nullptr ||
-      st.repairScheduler->numThreads() != team.size())
-    privateScheduler =
-        std::make_unique<WorklistScheduler>(st.numWalks, team.size());
-  WorklistScheduler& worklist =
-      privateScheduler != nullptr ? *privateScheduler : *st.repairScheduler;
-  const std::uint64_t pushesBefore = worklist.pushes();
-
   // Phase A — mark batch-edge sources and claim their visiting walks.
   // Only the *source* side matters: a walk's distribution depends on the
   // out-adjacency of the vertices it visits, and an edge update (u, v)
@@ -266,7 +252,7 @@ bool mcRepairBatch(MonteCarloState& st, LfEngineState& state,
       const VertexId u = edges[i].src;
       if (state.affected.fetchOr(u, 1) == 0) {
         log.changed.push_back(u);
-        mcClaimWalksAt(st, u, log, worklist);
+        mcClaimWalksAt(st, u, log);
       }
     }
   };
@@ -283,47 +269,41 @@ bool mcRepairBatch(MonteCarloState& st, LfEngineState& state,
         markRange(begin, end, log);
       }
     });
-    if (stopSeen(opt)) {
-      st.repairScheduler.reset();  // rings were left undrained
-      return false;
-    }
+    if (stopSeen(opt)) return false;
   }
 
-  // Phase B — repair claimed walks off the rings; crash polls only at
-  // walk boundaries, so every repair is all-or-nothing.
+  // The per-thread claim lists are the repair set: every walk in it is
+  // at claimed == 1 and appears exactly once.
+  std::vector<std::uint32_t> claims;
+  for (const McLog& log : logs)
+    claims.insert(claims.end(), log.claims.begin(), log.claims.end());
+
+  // Phase B — repair claimed walks in chunks of the claim list; crash
+  // polls only at walk boundaries, so every repair is all-or-nothing.
+  ChunkCursor repairCursor(claims.size(), kRepairChunkSize);
   team.run([&](int tid) {
     if (fault != nullptr && fault->crashed(tid)) return;
     McLog& log = logs[static_cast<std::size_t>(tid)];
-    VertexId w = 0;
-    for (;;) {
-      if (!worklist.tryPop(tid, w) && !worklist.trySteal(tid, w)) break;
-      if (stopSeen(opt)) return;
-      if (fault != nullptr && !fault->onVertexProcessed(tid)) return;
-      // Stale-residue guard: a popped walk that is not claimed this step
-      // can only be leftover ring content from an abnormally ended prior
-      // step (the reset discipline should make that impossible, but
-      // storing 2 here for an unclaimed walk would permanently eat its
-      // future claims, so the invariant is enforced locally too).
-      if (st.claimed.load(static_cast<std::uint32_t>(w)) != 1) continue;
-      mcRepairWalk(st, curr, state.affected, static_cast<std::uint32_t>(w),
-                   epoch, log);
-      st.claimed.store(static_cast<std::uint32_t>(w), 2);
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    while (repairCursor.next(begin, end)) {
+      for (std::size_t i = begin; i < end; ++i) {
+        if (stopSeen(opt)) return;
+        if (fault != nullptr && !fault->onVertexProcessed(tid)) return;
+        mcRepairWalk(st, curr, state.affected, claims[i], epoch, log);
+        st.claimed.store(claims[i], 2);
+      }
     }
   });
-  if (stopSeen(opt)) {
-    st.repairScheduler.reset();  // workers may have bailed mid-drain
-    return false;
-  }
+  if (stopSeen(opt)) return false;
 
   // Sequential completion: any claim still at 1 was abandoned by a
-  // crashed worker, lost to a pop-then-crash window, or refused by a
-  // full ring — repair it now, exactly once.
-  for (McLog& log : logs)
-    for (const std::uint32_t w : log.claims)
-      if (st.claimed.load(w) == 1) {
-        mcRepairWalk(st, curr, state.affected, w, epoch, logs[0]);
-        st.claimed.store(w, 2);
-      }
+  // crashed worker — repair it now, exactly once.
+  for (const std::uint32_t w : claims)
+    if (st.claimed.load(w) == 1) {
+      mcRepairWalk(st, curr, state.affected, w, epoch, logs[0]);
+      st.claimed.store(w, 2);
+    }
 
   // Sequential merge: delta index entries, rank refresh (idempotent —
   // duplicate touches just re-store the same value), flag clears.
@@ -351,13 +331,6 @@ bool mcRepairBatch(MonteCarloState& st, LfEngineState& state,
 
   result.affectedVertices = changedCount;
   result.rankUpdates += repairedCount;
-  result.protocolStats.ringPushes = worklist.pushes() - pushesBefore;
-
-  // The step drained cleanly, so the scheduler it ran on is reset and
-  // reusable — cache it unless fault injection was armed (crash polls
-  // may have abandoned ring entries even though the store recovered).
-  if (fault == nullptr && privateScheduler != nullptr)
-    st.repairScheduler = std::move(privateScheduler);
   return true;
 }
 
@@ -444,6 +417,32 @@ void blobPutOne(std::vector<std::byte>& blob, T value) {
   blobPut(blob, &value, 1);
 }
 
+/// Team for a memory-bound pass over the store (deserialize, index
+/// build). Such a pass has no latency to hide, so oversubscribing a small
+/// host only adds spawn and cache churn — the requested budget is capped
+/// at the cores actually present.
+ThreadTeam storePassTeam(int numThreads) {
+  int threads = ThreadTeam::resolveThreads(numThreads);
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw > 0) threads = std::min(threads, static_cast<int>(hw));
+  return ThreadTeam(threads);
+}
+
+/// Split [0, count) into one contiguous range per team thread and run
+/// body(tid, begin, end) on every non-empty one. The split depends only
+/// on count and the team size, so per-range outputs land in the same
+/// place on every run.
+template <typename Body>
+void forEachRange(ThreadTeam& team, std::size_t count, Body&& body) {
+  const std::size_t nt = static_cast<std::size_t>(team.size());
+  const std::size_t per = (count + nt - 1) / nt;
+  team.run([&](int tid) {
+    const std::size_t b = std::min(count, static_cast<std::size_t>(tid) * per);
+    const std::size_t e = std::min(count, b + per);
+    if (b < e) body(tid, b, e);
+  });
+}
+
 }  // namespace
 
 WalkStoreImage mcSerializeStore(const MonteCarloState& st) {
@@ -507,31 +506,20 @@ std::unique_ptr<MonteCarloState> mcDeserializeStore(
       seg.take<VertexId>(walkStart[st->numWalks], "verts").data();
   seg.expectEnd("verts");
 
-  // The pass is memory-bound with no latency to hide, so oversubscribing
-  // a small host only adds spawn and cache churn — cap the requested
-  // budget at the cores actually present.
-  int threads = ThreadTeam::resolveThreads(numThreads);
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 0) threads = std::min(threads, static_cast<int>(hw));
-  ThreadTeam team(threads);
-  const std::uint32_t nt = static_cast<std::uint32_t>(team.size());
-  const std::uint32_t perThread = (st->numWalks + nt - 1) / nt;
-  std::vector<std::vector<std::uint32_t>> threadCounts(nt);
-  team.run([&](int tid) {
-    const std::uint32_t begin =
-        std::min(st->numWalks, static_cast<std::uint32_t>(tid) * perThread);
-    const std::uint32_t end = std::min(st->numWalks, begin + perThread);
-    if (begin >= end) return;
+  ThreadTeam team = storePassTeam(numThreads);
+  std::vector<std::vector<std::uint32_t>> threadCounts(
+      static_cast<std::size_t>(team.size()));
+  forEachRange(team, st->numWalks, [&](int tid, std::size_t begin,
+                                       std::size_t end) {
     auto& counts = threadCounts[static_cast<std::size_t>(tid)];
     counts.assign(st->n, 0);
     const VertexId n = static_cast<VertexId>(st->n);
-    for (std::uint32_t w = begin; w < end; ++w) {
+    for (std::size_t w = begin; w < end; ++w) {
       const std::size_t len = st->len[w];
-      VertexId* slice =
-          st->verts.data() + static_cast<std::size_t>(w) * st->stride;
+      VertexId* slice = st->verts.data() + w * st->stride;
       std::memcpy(slice, packed + walkStart[w] * sizeof(VertexId),
                   len * sizeof(VertexId));
-      if (slice[0] != st->rootOf(w))
+      if (slice[0] != st->rootOf(static_cast<std::uint32_t>(w)))
         throw std::runtime_error(
             "walk image: walk does not start at its root");
       for (std::size_t i = 0; i < len; ++i) {
@@ -544,11 +532,7 @@ std::unique_ptr<MonteCarloState> mcDeserializeStore(
   });
   // Per-thread tallies are exact integers well under 2^53, so the summed
   // double is bit-identical to the repair path's repeated +1.0 adds.
-  const std::size_t vPerThread = (st->n + nt - 1) / nt;
-  team.run([&](int tid) {
-    const std::size_t begin =
-        std::min(st->n, static_cast<std::size_t>(tid) * vPerThread);
-    const std::size_t end = std::min(st->n, begin + vPerThread);
+  forEachRange(team, st->n, [&](int, std::size_t begin, std::size_t end) {
     for (std::size_t v = begin; v < end; ++v) {
       std::uint64_t total = 0;
       for (const auto& counts : threadCounts)
@@ -557,31 +541,22 @@ std::unique_ptr<MonteCarloState> mcDeserializeStore(
     }
   });
 
-  // Chunked bound scans over the index and delta arrays — multi-megabyte
-  // sweeps that split across the same team (ThreadTeam::run rethrows the
-  // first worker's exception, so a violation still surfaces serially).
-  const auto parallelScan = [&](std::size_t count, auto&& body) {
-    const std::size_t per = (count + nt - 1) / nt;
-    team.run([&](int tid) {
-      const std::size_t b =
-          std::min(count, static_cast<std::size_t>(tid) * per);
-      const std::size_t e = std::min(count, b + per);
-      if (b < e) body(b, e);
-    });
-  };
-
   BoundedReader idx(img.visitIndex, "walk image visit index");
   const auto indexCount = idx.readOne<std::uint64_t>("indexCount");
   idx.readVector(st->indexOffsets, st->n + 1, "indexOffsets");
   if (st->indexOffsets[0] != 0 || st->indexOffsets[st->n] != indexCount)
     throw std::runtime_error("walk image: index offsets inconsistent");
-  parallelScan(st->n, [&](std::size_t b, std::size_t e) {
+  // Bound scans over the index and delta arrays — multi-megabyte sweeps
+  // that split across the same team (ThreadTeam::run rethrows the first
+  // worker's exception, so a violation still surfaces serially).
+  forEachRange(team, st->n, [&](int, std::size_t b, std::size_t e) {
     for (std::size_t v = b; v < e; ++v)
       if (st->indexOffsets[v] > st->indexOffsets[v + 1])
         throw std::runtime_error("walk image: index offsets not monotonic");
   });
   idx.readVector(st->indexWalks, indexCount, "indexWalks");
-  parallelScan(st->indexWalks.size(), [&](std::size_t b, std::size_t e) {
+  forEachRange(team, st->indexWalks.size(),
+               [&](int, std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i)
       if (st->indexWalks[i] >= st->numWalks)
         throw std::runtime_error("walk image: index walk id out of range");
@@ -594,12 +569,13 @@ std::unique_ptr<MonteCarloState> mcDeserializeStore(
   const auto validDeltaRef = [&](std::uint32_t e) {
     return e == MonteCarloState::kNoDelta || e < deltaCount;
   };
-  parallelScan(st->n, [&](std::size_t b, std::size_t e) {
+  forEachRange(team, st->n, [&](int, std::size_t b, std::size_t e) {
     for (std::size_t v = b; v < e; ++v)
       if (!validDeltaRef(st->deltaHead[v]))
         throw std::runtime_error("walk image: delta head out of range");
   });
-  parallelScan(st->deltaWalk.size(), [&](std::size_t b, std::size_t e) {
+  forEachRange(team, st->deltaWalk.size(),
+               [&](int, std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       if (st->deltaWalk[i] >= st->numWalks)
         throw std::runtime_error("walk image: delta walk id out of range");
@@ -620,23 +596,9 @@ PprIndex buildPprIndex(const MonteCarloState& st, int numThreads) {
   index.walkLengths = st.len;
   index.offsets.assign(st.n + 1, 0);
 
-  int threads = ThreadTeam::resolveThreads(numThreads);
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 0) threads = std::min(threads, static_cast<int>(hw));
-  ThreadTeam team(threads);
-  const std::size_t nt = static_cast<std::size_t>(team.size());
-  const std::size_t rootsPerThread = (st.n + nt - 1) / nt;
-  const auto overRootRange = [&](auto&& body) {
-    team.run([&](int tid) {
-      const std::size_t b =
-          std::min(st.n, static_cast<std::size_t>(tid) * rootsPerThread);
-      const std::size_t e = std::min(st.n, b + rootsPerThread);
-      if (b < e) body(b, e);
-    });
-  };
-
+  ThreadTeam team = storePassTeam(numThreads);
   const std::uint32_t perRoot = st.walksPerRoot();
-  overRootRange([&](std::size_t b, std::size_t e) {
+  forEachRange(team, st.n, [&](int, std::size_t b, std::size_t e) {
     for (std::size_t r = b; r < e; ++r) {
       std::uint64_t total = 0;
       const std::size_t wBegin = r * perRoot;
@@ -648,7 +610,7 @@ PprIndex buildPprIndex(const MonteCarloState& st, int numThreads) {
   for (std::size_t r = 0; r < st.n; ++r)
     index.offsets[r + 1] += index.offsets[r];
   index.visitLog.resize(index.offsets[st.n]);
-  overRootRange([&](std::size_t b, std::size_t e) {
+  forEachRange(team, st.n, [&](int, std::size_t b, std::size_t e) {
     std::uint64_t cursor = index.offsets[b];
     for (std::size_t r = b; r < e; ++r) {
       const std::size_t wBegin = r * perRoot;

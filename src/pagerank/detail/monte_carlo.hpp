@@ -26,9 +26,12 @@
 // the affected walks are exactly the visit-index entries of the batch
 // edges' source vertices. Each such walk is claimed lock-free (one
 // fetchOr per walk id — claimed exactly once no matter how many
-// changed vertices it visits), queued on the work rings
-// (sched/work_ring.hpp), and repaired: truncate at its first affected
-// visit, then re-walk from there on the new snapshot. Expected work per edge update is O(1)
+// changed vertices it visits), logged on the claiming thread's claim
+// list, and repaired off those lists: truncate at its first affected
+// visit, then re-walk from there on the new snapshot. The claim flags
+// are the exactly-once record any surviving thread can finish (the
+// checked flags of the paper's Algorithm 2), so the lists need no
+// second copy on a scheduler. Expected work per edge update is O(1)
 // walks (each vertex is visited R * pi(v) * n / (1-alpha)... in
 // expectation a constant number of stored walk positions per root-R
 // budget), which is what makes the engine the sub-1e-5 batch-fraction
@@ -56,7 +59,6 @@
 #include "graph/csr.hpp"
 #include "pagerank/atomics.hpp"
 #include "pagerank/ppr.hpp"
-#include "sched/work_ring.hpp"
 #include "util/default_init.hpp"
 #include "util/rng.hpp"
 
@@ -111,9 +113,10 @@ struct MonteCarloState {
   std::size_t n = 0;
   /// Storage stride == cfg.maxWalkLength; also the hard walk-length cap.
   std::size_t stride = 0;
-  /// n * R. Walk ids are 32-bit (they ride the VertexId work rings);
-  /// the constructor rejects n * R beyond that — same 32-bit ceiling
-  /// the snapshot loaders enforce (see ROADMAP's 64-bit item).
+  /// n * R. Walk ids are 32-bit (the u32 visit index and claim lists
+  /// store them); the constructor rejects n * R beyond that — same
+  /// 32-bit ceiling the snapshot loaders enforce (see ROADMAP's 64-bit
+  /// item).
   std::uint32_t numWalks = 0;
   /// Batches repaired into the store so far; names the RNG streams.
   std::uint64_t epoch = 0;
@@ -151,20 +154,11 @@ struct MonteCarloState {
   std::vector<std::uint32_t> deltaNext;
 
   /// Per-walk repair claim flags, all-zero between steps. 0 = unclaimed,
-  /// 1 = claimed (queued), 2 = repaired — the sequential post-pass
-  /// re-walks any claim still at 1 (crash or ring refusal), so each
-  /// claimed walk is repaired exactly once even under fault injection.
+  /// 1 = claimed (on a claim list), 2 = repaired — the sequential
+  /// post-pass re-walks any claim still at 1 (a crashed worker's), so
+  /// each claimed walk is repaired exactly once even under fault
+  /// injection.
   AtomicU8Vector claimed;
-
-  /// Cached repair scheduler over the walk-id space. A cleanly drained
-  /// WorklistScheduler is self-resetting (pops, steals, and refused
-  /// pushes all clear the dedup flags), so clean repair steps reuse one
-  /// instance instead of paying an O(numWalks) allocation + zeroing per
-  /// batch — the fixed cost that would otherwise dominate small-batch
-  /// repairs. Null whenever the last step may have left rings dirty
-  /// (fault-armed steps use a private instance; a cooperative stop
-  /// mid-repair drops the cache). Rebuilt on thread-count changes.
-  std::unique_ptr<WorklistScheduler> repairScheduler;
 
   [[nodiscard]] std::uint32_t walksPerRoot() const noexcept {
     return static_cast<std::uint32_t>(cfg.walksPerVertex);
@@ -227,8 +221,7 @@ struct WalkStoreImageView {
 
 /// Snapshot a (quiescent) store into its serialized image. Called by the
 /// checkpoint writer on the ingest thread between steps — claims are
-/// all-zero and the scheduler cache is irrelevant, so neither is part of
-/// the image.
+/// all-zero, so they are not part of the image.
 [[nodiscard]] WalkStoreImage mcSerializeStore(const MonteCarloState& st);
 
 /// Rebuild a resident store from an image, validating every structural
@@ -237,7 +230,7 @@ struct WalkStoreImageView {
 /// in-bounds) — throws std::runtime_error / std::invalid_argument on the
 /// first violation, so a checkpoint loader can treat "deserializes
 /// cleanly" as "safe to resume repairs on". Visit counts are recounted
-/// from the segments; claim flags and the scheduler cache start fresh.
+/// from the segments; claim flags start fresh.
 /// The segment pass (copy + validate + recount) parallelizes over walk
 /// ranges — pass the solver's thread budget so restart resume scales
 /// with the same cores a from-scratch rebuild would use.

@@ -75,9 +75,10 @@ struct ProtocolStats {
   std::uint64_t rePulls = 0;
   /// RMWs on the notConverged / chunk flags (marks and clears).
   std::uint64_t flagRmws = 0;
-  /// Successful work-ring pushes: DeltaPush activations and MonteCarlo
-  /// walk claims. Always zero for the pull engines, whose dense chunked
-  /// sweep finds its work through the flags.
+  /// Successful work-ring pushes (DeltaPush activations). Always zero
+  /// for the pull engines, whose dense chunked sweep finds its work
+  /// through the flags, and for MonteCarlo, which repairs off its claim
+  /// lists (its repaired walks are counted in rankUpdates).
   std::uint64_t ringPushes = 0;
   /// Residual fetch-adds into out-neighbours (DeltaPush only) — the
   /// push-engine analogue of per-edge pull work, so push-vs-pull
@@ -149,7 +150,7 @@ enum class Approach : int {
   DeltaPush,
   /// Opt-in approximate engine (not one of the paper's eight): Bahmani-
   /// style incremental Monte Carlo — R random-walk segments per root,
-  /// repaired per batch via the DF marks + worklist claim machinery;
+  /// repaired per batch via the DF marks + per-walk claim flags;
   /// also serves personalized PageRank. See pagerank.hpp monteCarlo().
   MonteCarlo,
 };

@@ -3,10 +3,12 @@
 // paper's "top-level parallel block") and synchronizes internally with
 // ChunkCursor / InstrumentedBarrier / flag vectors.
 //
-// We spawn std::threads per run() rather than keeping a persistent pool:
-// engine runs last milliseconds to seconds, so spawn cost is noise, and a
-// fresh team per run means a thread "crashed" by the fault injector in one
-// run can never leak state into the next.
+// We spawn std::threads per run() rather than keeping a persistent pool,
+// so a thread "crashed" by the fault injector in one run can never leak
+// state into the next. The spawn is not free: on a 4-vCPU x86 host it
+// measured 34-36 us per 2-thread run and 67-73 us per 4-thread run. That
+// is noise beside a full solve, but not beside a small service step — a
+// DeltaPush step makes two runs inside a ~1.4 ms stream-small step.
 #pragma once
 
 #include <functional>

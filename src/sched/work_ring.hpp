@@ -1,27 +1,26 @@
-// Per-thread work rings for the two engines that find their work by
+// Per-thread work rings for the one engine that finds its work by
 // enqueueing it: DeltaPush activations (vertices whose residual crossed
-// the threshold, delta_push.cpp) and Monte Carlo walk claims (walk ids
-// to repair, monte_carlo.cpp). The pull engines do not use them; they
+// the threshold, delta_push.cpp). The pull engines do not use them; they
 // find their work with the dense chunked sweep (chunk_cursor.hpp),
-// filtered by the affected / notConverged flags.
+// filtered by the affected / notConverged flags. Monte Carlo repair does
+// not either: its per-thread claim lists already name every walk to
+// repair, and workers take chunks of them (monte_carlo.cpp).
 //
-//   * ids (vertices or walks) are partitioned into contiguous ownership
-//     blocks, one per worker thread;
+//   * vertex ids are partitioned into contiguous ownership blocks, one
+//     per worker thread;
 //   * whoever activates an id also enqueues it onto its owner's ring
 //     (deduplicated through a per-id `queued` flag, so each id has at
 //     most one in-flight ring entry);
 //   * the owner drains its own ring; under fault injection, survivors
 //     steal the entries a crashed owner left behind.
 //
-// The rings are an *accelerator*, never the authority. For DeltaPush the
-// notConverged flags of the termination protocol (lf_iterate.cpp,
-// delta_push.cpp) still decide convergence, and an owner whose ring runs
-// dry reconciles its partition against the flags before declaring
-// itself quiescent. For Monte Carlo the per-walk claim flags are the
-// record, and a sequential pass re-walks any claim no worker finished.
-// A lost enqueue (crashed marker, the benign pop/queued race below, or a
-// full ring) therefore delays an id at worst until that reconcile or
-// completion pass — it can never fake convergence or drop a repair.
+// The rings are an *accelerator*, never the authority: the notConverged
+// flags of the termination protocol (lf_iterate.cpp, delta_push.cpp)
+// still decide convergence, and an owner whose ring runs dry reconciles
+// its partition against the flags before declaring itself quiescent. A
+// lost enqueue (crashed marker, the benign pop/queued race below, or a
+// full ring) therefore delays an id at worst until that reconcile — it
+// can never fake convergence.
 //
 // WorkRing is a bounded MPMC ring in the classic per-cell sequence-number
 // style: each cell carries an epoch that producers and consumers validate

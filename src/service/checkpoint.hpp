@@ -70,7 +70,7 @@ struct WalkSidecarHeader {
   std::uint64_t seed;
   std::uint32_t walksPerVertex;
   std::uint32_t maxWalkLength;
-  std::uint32_t walkIdBits;  ///< 32 today (the work-ring ceiling)
+  std::uint32_t walkIdBits;  ///< 32 today (the walk-id ceiling)
   std::uint32_t reserved;
   double alpha;
   std::uint64_t numVertices;

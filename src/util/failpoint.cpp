@@ -1,7 +1,6 @@
 #include "util/failpoint.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <mutex>
 #include <unordered_map>
 
@@ -36,20 +35,7 @@ struct FailPoints::Impl {
   }
 };
 
-FailPoints::FailPoints() : impl_(new Impl) {
-  // Env arming for out-of-process schedules (nightly randomized lanes):
-  // LFPR_FAILPOINT="name" or "name:hit".
-  if (const char* env = std::getenv("LFPR_FAILPOINT"); env != nullptr && *env) {
-    std::string spec(env);
-    std::uint64_t hit = 1;
-    if (const auto colon = spec.rfind(':'); colon != std::string::npos) {
-      hit = std::strtoull(spec.c_str() + colon + 1, nullptr, 10);
-      if (hit == 0) hit = 1;
-      spec.resize(colon);
-    }
-    impl_->at(spec).killAt = hit;
-  }
-}
+FailPoints::FailPoints() : impl_(new Impl) {}
 
 FailPoints& FailPoints::instance() {
   static FailPoints f;

@@ -2,10 +2,10 @@
 //
 // Every durability-bearing syscall site (write / fsync / rename / mmap in
 // csr_file, edge_log, the ingest journal and the checkpoint writer) passes
-// through a named fail point. A build with -DLFPR_FAILPOINTS=ON compiles
-// the hooks in; the default build compiles them to nothing, so the hot
-// paths carry zero overhead and the durability code under test is the
-// durability code that ships.
+// through a named fail point. The hooks are compiled into every build, so
+// the durability code under test is the durability code that ships. An
+// unarmed site costs at most two mutex-guarded registry lookups: noise
+// beside the write/fsync/rename/mmap call they guard.
 //
 // Two injection modes per point:
 //
@@ -25,8 +25,8 @@
 // Scheduling is deterministic: a point fires on an exact hit count, never
 // on a probability, so the crash matrix in test_durability enumerates
 // pointsSeen() from a clean run and replays each one as its own
-// kill-restart-verify case. The env hook LFPR_FAILPOINT="name[:hit]"
-// arms a kill from outside the process (nightly randomized lanes).
+// kill-restart-verify case. Points are armed only in process, through
+// this API; nothing outside the process can arm one.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +57,7 @@ inline constexpr int kFailPointShortWrite = -1;
 
 class FailPoints {
  public:
-  /// Process-wide registry. On first use, LFPR_FAILPOINT="name[:hit]"
-  /// (when set) arms a kill at `name`'s `hit`-th execution (default 1).
+  /// Process-wide registry; starts with nothing armed.
   static FailPoints& instance();
 
   /// Kill mode: `point` throws FailPointAbort on its `hit`-th execution
@@ -99,11 +98,6 @@ class FailPoints {
 
 }  // namespace lfpr
 
-#if defined(LFPR_FAILPOINTS)
 #define LFPR_FAILPOINT(point) ::lfpr::FailPoints::instance().onHit(point)
 #define LFPR_FAILPOINT_ERRNO(point) \
   ::lfpr::FailPoints::instance().consumeErrno(point)
-#else
-#define LFPR_FAILPOINT(point) ((void)(point))
-#define LFPR_FAILPOINT_ERRNO(point) ((void)(point), 0)
-#endif

@@ -2,11 +2,10 @@
 // trip and treat torn tails as clean EOF with quarantine, checkpoints
 // must bind their csr/meta halves and fall back to older pairs when the
 // newest is torn, and restart recovery must reproduce a clean run's
-// ranks within the §4.5 certificate. Builds with -DLFPR_FAILPOINTS=ON
-// additionally run the crash matrix: for every I/O fail point a clean
-// run executes, kill the service there, restart, resubmit what was
-// never acknowledged, and verify no journaled-then-acknowledged batch
-// was lost.
+// ranks within the §4.5 certificate. The crash matrix then kills the
+// service at every I/O fail point a clean run executes, restarts,
+// resubmits what was never acknowledged, and verifies no
+// journaled-then-acknowledged batch was lost.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -899,8 +898,6 @@ TEST_F(DurabilityTest, ServiceTornWalkSidecarFallsBackToJournalRebuild) {
       << "the fallback rebuild must match the offline twin bit-for-bit";
 }
 
-#if defined(LFPR_FAILPOINTS)
-
 // ---------------------------------------------------------------------
 // Fail-point injection: transient retries, ENOSPC degradation, and the
 // crash matrix (kill at every I/O site a clean run executes, restart,
@@ -992,7 +989,7 @@ struct CrashOutcome {
   bool died = false;
 };
 
-CrashOutcome runCrashScenario(const std::string& dir, const CsrGraph& initial,
+CrashOutcome runCrashScenario(const CsrGraph& initial,
                               const std::vector<BatchUpdate>& batches,
                               const ServiceOptions& opt) {
   CrashOutcome out;
@@ -1177,7 +1174,7 @@ TEST_F(DurabilityTest, CrashMatrixEveryFailPointRecovers) {
   ServiceOptions opt = durableOptions(/*checkpointEverySolves=*/1);
   opt.durability.directory = cleanDir.string();
   const CrashOutcome clean =
-      runCrashScenario(cleanDir.string(), initial, batches, opt);
+      runCrashScenario(initial, batches, opt);
   ASSERT_FALSE(clean.died);
   ASSERT_EQ(clean.acked, batches.size());
   // Collect the enumeration BEFORE the verify pass (whose disarmAll
@@ -1203,7 +1200,7 @@ TEST_F(DurabilityTest, CrashMatrixEveryFailPointRecovers) {
     fp.disarmAll();
     fp.armKill(point);
     const CrashOutcome outcome =
-        runCrashScenario(caseDir.string(), initial, batches, copt);
+        runCrashScenario(initial, batches, copt);
     EXPECT_TRUE(outcome.died) << label << " never fired";
     verifyCrashRecovery(caseDir.string(), initial, batches, copt,
                         outcome.acked, label);
@@ -1233,7 +1230,7 @@ TEST_F(DurabilityTest, McCrashMatrixRecoversBitIdenticalWalkStore) {
   ServiceOptions clopt = opt;
   clopt.durability.directory = cleanDir.string();
   const CrashOutcome clean =
-      runCrashScenario(cleanDir.string(), initial, batches, clopt);
+      runCrashScenario(initial, batches, clopt);
   ASSERT_FALSE(clean.died);
   ASSERT_EQ(clean.acked, batches.size());
   const std::vector<std::string> points = fp.pointsSeen();
@@ -1261,7 +1258,7 @@ TEST_F(DurabilityTest, McCrashMatrixRecoversBitIdenticalWalkStore) {
     fp.disarmAll();
     fp.armKill(point);
     const CrashOutcome outcome =
-        runCrashScenario(caseDir.string(), initial, batches, copt);
+        runCrashScenario(initial, batches, copt);
     EXPECT_TRUE(outcome.died) << label << " never fired";
     verifyMcCrashRecovery(caseDir.string(), initial, batches, copt,
                           outcome.acked, oracle, label);
@@ -1295,7 +1292,7 @@ TEST_F(DurabilityTest, RandomizedCrashSeedRecovers) {
   ServiceOptions opt = base;
   opt.durability.directory = cleanDir.string();
   const CrashOutcome clean =
-      runCrashScenario(cleanDir.string(), initial, batches, opt);
+      runCrashScenario(initial, batches, opt);
   ASSERT_FALSE(clean.died);
   const std::vector<std::string> points = fp.pointsSeen();
   fp.disarmAll();
@@ -1314,7 +1311,7 @@ TEST_F(DurabilityTest, RandomizedCrashSeedRecovers) {
   copt.durability.directory = caseDir.string();
   fp.armKill(point, hit);
   const CrashOutcome outcome =
-      runCrashScenario(caseDir.string(), initial, batches, copt);
+      runCrashScenario(initial, batches, copt);
   // A late hit index may never be reached; that is a (boring) clean run.
   if (monteCarlo)
     verifyMcCrashRecovery(caseDir.string(), initial, batches, copt,
@@ -1323,8 +1320,6 @@ TEST_F(DurabilityTest, RandomizedCrashSeedRecovers) {
     verifyCrashRecovery(caseDir.string(), initial, batches, copt,
                         outcome.acked, label);
 }
-
-#endif  // LFPR_FAILPOINTS
 
 }  // namespace
 }  // namespace lfpr

@@ -262,6 +262,58 @@ TEST(MonteCarlo, DeterministicAcrossRunsAndThreadCounts) {
   EXPECT_NE(fpA.front(), fpA.back());
 }
 
+TEST(MonteCarlo, CrashedRepairWorkersLeaveAnIdenticalStore) {
+  // Crash polls sit at walk boundaries and the sequential completion pass
+  // re-walks every claim a crashed worker abandoned, so a repair step
+  // with k of 4 workers crash-stopped must leave exactly the store (and
+  // ranks) of a healthy run — k = 4 leaves the whole repair set to the
+  // completion pass.
+  const auto runSchedule = [](int numCrashing, std::uint64_t seed) {
+    auto g = makeTestDigraph(92);
+    const auto opt = mcOptions(/*walksPerVertex=*/8, /*numThreads=*/4);
+    detail::LfEngineState state(g.numVertices());
+    auto prev = g.toCsr();
+    EXPECT_TRUE(detail::lfMonteCarloStep(state, prev, prev, {}, opt, nullptr,
+                                         "test")
+                    .converged);
+    Rng rng(93);
+    int crashed = 0;
+    for (int b = 0; b < 4; ++b) {
+      const auto batch = generateBatch(g, 200, rng);
+      g.applyBatch(batch);
+      const auto curr = g.toCsr();
+      FaultInjector fault(
+          4, makeCrashConfig(4, numCrashing, 1, 400, seed + 17 * b));
+      EXPECT_TRUE(detail::lfMonteCarloStep(
+                      state, prev, curr, batch, opt,
+                      numCrashing > 0 ? &fault : nullptr, "test")
+                      .converged)
+          << "step " << b;
+      crashed += fault.numCrashed();
+      prev = curr;
+    }
+    return std::tuple(state.monteCarlo->fingerprint(), state.ranks.toVector(),
+                      crashed);
+  };
+
+  const auto [healthyFp, healthyRanks, healthyCrashes] = runSchedule(0, 0);
+  EXPECT_EQ(healthyCrashes, 0);
+  int totalCrashes = 0;
+  for (const int k : {1, 3, 4}) {
+    for (const std::uint64_t seed : {11u, 29u}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " seed=" << seed);
+      const auto [fp, ranks, crashes] = runSchedule(k, seed);
+      totalCrashes += crashes;
+      EXPECT_EQ(fp, healthyFp);
+      EXPECT_EQ(ranks, healthyRanks);
+    }
+  }
+  // Whether a given worker reaches its crash point depends on how much
+  // work it wins, but with all four workers scheduled to crash within
+  // 400 of ~4400 repairs per step, some crash every time.
+  EXPECT_GT(totalCrashes, 0) << "no worker crashed: the schedules are vacuous";
+}
+
 TEST(MonteCarlo, IndexFingerprintMatchesStore) {
   // A snapshot's mcFingerprint() hashes its PprIndex, not the live
   // store: the index must reproduce the store's fingerprint bit for bit

@@ -3,7 +3,10 @@
 // reference on generated graphs, convergence semantics, scheduling knobs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
 #include <numeric>
+#include <vector>
 
 #include "generate/generators.hpp"
 #include "pagerank/pagerank.hpp"
@@ -31,6 +34,18 @@ TEST(StaticPageRank, EmptyGraph) {
   EXPECT_TRUE(staticBB(g).converged);
   EXPECT_TRUE(staticLF(g).converged);
   EXPECT_TRUE(staticBB(g).ranks.empty());
+  // Every engine, dynamic ones included, certifies a zero-vertex graph
+  // with a finite bound.
+  std::vector<Approach> approaches(std::begin(kAllApproaches),
+                                   std::end(kAllApproaches));
+  approaches.push_back(Approach::DeltaPush);
+  approaches.push_back(Approach::MonteCarlo);
+  for (const Approach a : approaches) {
+    const auto r = runApproach(a, g, g, {}, {}, testOptions());
+    EXPECT_TRUE(r.converged) << approachName(a);
+    EXPECT_TRUE(std::isfinite(r.toleranceBound)) << approachName(a);
+    EXPECT_TRUE(r.ranks.empty()) << approachName(a);
+  }
 }
 
 TEST(StaticPageRank, SingleVertexWithSelfLoopHasRankOne) {

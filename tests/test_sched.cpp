@@ -1,6 +1,6 @@
 // Unit tests for src/sched: lock-free chunk scheduling, thread team,
 // CPU placement hint, instrumented barrier (wait accounting, breakage),
-// fault injection, the work rings DeltaPush and Monte Carlo run on.
+// fault injection, the work rings DeltaPush runs on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -302,7 +302,7 @@ TEST(MakeCrashConfig, IsDeterministic) {
   EXPECT_EQ(a.crashAfterUpdates, b.crashAfterUpdates);
 }
 
-// ----- WorkRing / WorklistScheduler (DeltaPush / Monte Carlo rings) ------
+// ----- WorkRing / WorklistScheduler (DeltaPush rings) ---------------------
 
 TEST(WorkRing, FifoSingleThread) {
   WorkRing ring(8);
