@@ -86,7 +86,6 @@ inline void printProtocolStats(const std::string& label, const PageRankResult& r
             << "]: rank_updates=" << r.rankUpdates
             << " re_pulls=" << r.protocolStats.rePulls
             << " flag_rmws=" << r.protocolStats.flagRmws
-            << " ring_pushes=" << r.protocolStats.ringPushes
             << " residual_pushes=" << r.protocolStats.residualPushes
             << " activations=" << r.protocolStats.activations << "\n";
 }

@@ -56,7 +56,7 @@ class AtomicF64Vector {
   /// loop). This is the delta-push engine's residual accumulator: pushes
   /// from concurrent threads can never lose mass, and the returned
   /// before-value is what the activation-threshold crossing test is made
-  /// from (sched/work_ring.hpp, crossedThreshold).
+  /// from (detail/delta_push.cpp, crossedThreshold).
   double fetchAdd(std::size_t i, double x) noexcept {
     return v_[i].fetch_add(x, std::memory_order_relaxed);
   }

@@ -2,9 +2,10 @@
 // one of the paper's eight). The DF marking phase seeds per-vertex
 // residual accumulators with one pull each; from then on the solve is
 // pull-free — workers forward-push only the changed mass through C++20
-// floating-point fetch-adds, activating neighbours onto the work rings
-// (sched/work_ring.hpp) when a push crosses the activation threshold.
-// See detail/delta_push.cpp for the protocol mapping.
+// floating-point fetch-adds, marking a neighbour's RC flag when a push
+// crosses the activation threshold, and find flagged vertices with the
+// pull engines' chunked flag sweep. See detail/delta_push.cpp for the
+// protocol mapping.
 #include "pagerank/detail/engine_step.hpp"
 #include "pagerank/pagerank.hpp"
 

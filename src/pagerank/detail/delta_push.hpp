@@ -9,8 +9,9 @@
 // forward-pushes `alpha * residual[v] * invOutDeg[v]` to each
 // out-neighbour with a lock-free fetch-add (AtomicF64Vector::fetchAdd;
 // no per-vertex spin-locks, unlike Ligra's PRDelta). A push that moves a
-// neighbour's residual across the activation threshold enters it onto
-// its owner's work ring (WorklistScheduler::enqueue, sched/work_ring.hpp).
+// neighbour's residual across the activation threshold marks its RC
+// flag, and workers find flagged vertices with the pull engines' chunked
+// flag sweep (lf_iterate.cpp).
 // Residual magnitudes decay geometrically (alpha per hop), so total
 // touched edges scale with the injected mass, not with frontier-size
 // times iterations — the mid-density fig7 band where the pull sweep
@@ -23,8 +24,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
-#include <memory>
 
 #include "graph/csr.hpp"
 #include "pagerank/atomics.hpp"
@@ -32,48 +31,8 @@
 #include "pagerank/options.hpp"
 #include "sched/chunk_cursor.hpp"
 #include "sched/fault.hpp"
-#include "sched/work_ring.hpp"
 
 namespace lfpr::detail {
-
-/// Exact exit rule for a healthy delta-push team. Healthy mode has no
-/// takeover (see delta_push.cpp): only a partition's owner drains it, so
-/// an owner whose partition is clean may leave only once no peer can push
-/// into it any more. Each worker is busy, asleep or gone, and `busy`
-/// counts the busy ones. A worker falls asleep only with a clean
-/// partition; a drain whose activation lands in a sleeping worker's
-/// partition wakes that worker — counting it busy again — before the
-/// drainer itself can sleep. So the count reaches 0 only when no drain
-/// runs and no activation is pending, and from then on it stays 0: every
-/// worker may leave. A capped-out owner leaves as gone and is never
-/// woken; its dirt keeps its flags set and the run exits honestly
-/// unconverged.
-class TeamQuiescence {
- public:
-  explicit TeamQuiescence(int numWorkers);
-
-  /// Called by a busy drainer after it marked a vertex of `worker`'s
-  /// partition: counts `worker` busy again if it was asleep.
-  void wake(int worker) noexcept;
-  /// Fall asleep unless [begin, end) of `flags` — the caller's partition —
-  /// is dirty. Returns whether the caller is now asleep.
-  bool trySleep(int self, const AtomicU8Vector& flags, std::size_t begin,
-                std::size_t end) noexcept;
-  /// A peer woke this sleeping worker (it is counted busy again).
-  [[nodiscard]] bool woken(int self) const noexcept;
-  /// Every worker is asleep or gone; nothing will wake anyone.
-  [[nodiscard]] bool quiet() const noexcept;
-  /// The caller leaves the team for good.
-  void leave(int self) noexcept;
-
- private:
-  static constexpr std::uint8_t kBusy = 0, kAsleep = 1, kGone = 2;
-  struct alignas(64) Slot {
-    std::atomic<std::uint8_t> state{kBusy};
-  };
-  std::unique_ptr<Slot[]> slots_;
-  alignas(64) std::atomic<int> busy_;
-};
 
 struct DeltaPushShared {
   const CsrGraph& graph;
@@ -89,6 +48,8 @@ struct DeltaPushShared {
   AtomicU8Vector& seedDone;
   /// Shared chunk pool over the vertex range for the seed sweep.
   ChunkCursor& seedCursor;
+  /// Phase B: one chunk pool per round, as in LfShared.
+  RoundCursorSet& rounds;
   std::atomic<bool>& allConverged;
   std::atomic<int>& maxRound;
   /// Worker tid counts into counters[tid], the post-join passes into
@@ -96,10 +57,6 @@ struct DeltaPushShared {
   StepCounterSlots& counters;
   const PageRankOptions& opt;
   FaultInjector* fault = nullptr;
-  /// Always present: delta-push is worklist-driven by construction.
-  WorklistScheduler& worklist;
-  /// Healthy-mode exit rule, one slot per team thread.
-  TeamQuiescence& quiescence;
 };
 
 /// Phase A worker body (after markAffectedWorker): seed the residuals of
@@ -112,9 +69,9 @@ bool seedResidualWorker(const DeltaPushShared& s, int tid);
 /// (idempotent — ranks are frozen until phase B starts).
 void seedResidualRepair(const DeltaPushShared& s);
 
-/// Phase B worker body: drain the own ring / reconcile the owned
-/// partition / global scan, with orphan takeover under fault injection
-/// and the TeamQuiescence exit rule without it.
+/// Phase B worker body: per round, drain the flagged vertices of every
+/// chunk taken from the round's pool, then scan for convergence. Returns
+/// at convergence, the round cap, a stop request or a crash.
 void deltaPushWorker(const DeltaPushShared& s, int tid);
 
 /// Post-join completion pass (termination protocol part 3): absorbs

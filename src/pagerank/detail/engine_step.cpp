@@ -12,7 +12,6 @@
 #include "pagerank/error.hpp"
 #include "sched/chunk_cursor.hpp"
 #include "sched/thread_team.hpp"
-#include "sched/work_ring.hpp"
 #include "util/timer.hpp"
 
 namespace lfpr::detail {
@@ -167,7 +166,7 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
                           state.affected, state.notConverged,
                           chunkFlagsPtr,  resolved.chunkSize,
                           markCursor, traverse,
-                          fault,      /*worklist=*/nullptr};
+                          fault};
     if (!markAffectedWorker(mark, tid, counters[tid])) return;  // crashed
     lfIterateWorker(iterate, tid);
   });
@@ -215,20 +214,17 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
   AtomicU8Vector seedDone(numSeedChunks, 0);
   ChunkCursor markCursor(edges.size(), kEdgeChunkSize);
   ChunkCursor seedCursor(n, resolved.chunkSize);
+  RoundCursorSet rounds(n, resolved.chunkSize,
+                        static_cast<std::size_t>(resolved.maxIterations));
   std::atomic<bool> allConverged{false};
   std::atomic<int> maxRound{0};
   StepCounterSlots counters(team.size());
 
-  // Delta-push is worklist-driven by construction: the DF marking phase
-  // seeds the rings, and threshold crossings feed them afterwards.
-  WorklistScheduler worklist(n, team.size());
-  TeamQuiescence quiescence(team.size());
-
   const DeltaPushShared shared{curr,        state.ranks, residual,
                                state.notConverged,       state.affected,
-                               seedDone,    seedCursor,  allConverged,
-                               maxRound,    counters,    resolved,
-                               fault,       worklist,    quiescence};
+                               seedDone,    seedCursor,  rounds,
+                               allConverged, maxRound,   counters,
+                               resolved,    fault};
   const Stopwatch timer;
   // Phase A: DF marking, then residual seeding against the still-frozen
   // ranks. The helping rescans inside both workers mean a returning
@@ -241,7 +237,7 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
                           state.affected, state.notConverged,
                           /*chunkFlags=*/nullptr, resolved.chunkSize,
                           markCursor, /*traverse=*/false,
-                          fault,      &worklist};
+                          fault};
     if (!markAffectedWorker(mark, tid, counters[tid])) return;  // crashed
     seedResidualWorker(shared, tid);
   });
@@ -261,7 +257,6 @@ PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
   result.timeMs = timer.elapsedMs();
   finishResult(result, resolved, state.notConverged.allZero(), maxRound,
                counters);
-  result.protocolStats.ringPushes = worklist.pushes();
   state.residualValid = result.converged;
   result.affectedVertices = state.affected.countNonZero();
   return result;

@@ -123,9 +123,9 @@ PageRankResult lfDynamicStep(LfEngineState& state, const CsrGraph& prev,
 /// detail/delta_push.cpp): DF marking seeds per-vertex residuals, then
 /// workers forward-push only the changed mass instead of re-pulling every
 /// incident edge of every dirty vertex. Same contract as lfDynamicStep
-/// (state.ranks must hold converged ranks for `prev`); the engine is
-/// worklist-driven by construction. Validation errors are labelled with
-/// `name`.
+/// (state.ranks must hold converged ranks for `prev`); workers find
+/// their work with the same chunked flag sweep as the pull engines.
+/// Validation errors are labelled with `name`.
 PageRankResult lfDeltaPushStep(LfEngineState& state, const CsrGraph& prev,
                                const CsrGraph& curr, const BatchUpdate& batch,
                                const PageRankOptions& opt, FaultInjector* fault,

@@ -8,32 +8,24 @@
 //    skipping the RMW when the flag already reads 1 would let a marker's
 //    rank publish stay invisible to a concurrent clear;
 //  * the vertex flag is marked BEFORE the chunk flag — the order
-//    clearChunkFlagAndReverify's acquire-rescan relies on;
-//  * when a work ring is passed (DeltaPush), the enqueue comes AFTER the
-//    flag mark: a popped entry may then race a concurrent re-mark, but
-//    the flag is already visible to the clear-then-reverify path, so the
-//    mark can never be lost even if the enqueue is.
+//    clearChunkFlagAndReverify's acquire-rescan relies on.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 
 #include "pagerank/atomics.hpp"
-#include "sched/work_ring.hpp"
 
 namespace lfpr::detail {
 
 /// Mark vertex w "not yet converged", plus its owning chunk when
-/// per-chunk flags are in use, plus its owner's ring when `worklist` is
-/// non-null (DeltaPush activations and its marking phase).
+/// per-chunk flags are in use.
 inline void markVertexUnconverged(AtomicU8Vector& notConverged,
                                   AtomicU8Vector* chunkFlags,
-                                  std::size_t chunkSize, std::size_t w,
-                                  WorklistScheduler* worklist = nullptr) {
+                                  std::size_t chunkSize, std::size_t w) {
   notConverged.fetchOr(w, 1, std::memory_order_release);
   if (chunkFlags != nullptr)
     chunkFlags->fetchOr(w / chunkSize, 1, std::memory_order_release);
-  if (worklist != nullptr) worklist->enqueue(w);
 }
 
 }  // namespace lfpr::detail

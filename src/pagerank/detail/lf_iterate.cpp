@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include "pagerank/detail/common.hpp"
 #include "pagerank/detail/flags.hpp"
@@ -225,53 +226,114 @@ bool flagsAllZeroFrom(const LfShared& s, std::size_t& scanHint) {
                                  : s.notConverged.allZeroFrom(scanHint);
 }
 
+/// Static-schedule ablation (Eedi et al. style): each thread owns a
+/// fixed stripe of the vertex range instead of pulling dynamic chunks.
+/// Stripes progress unevenly, so three rules keep the convergence claim
+/// honest:
+///
+///  * Stripe wake. Only a stripe's owner marks its vertices, so a stripe
+///    swept clean would stay clean while its in-neighbours in other
+///    stripes keep moving. A sweep that moved some vertex by more than
+///    tau therefore also marks the first vertex of every other stripe
+///    (release RMWs, after its rank publishes), and an owner consumes
+///    that mark with an acquire exchange before each sweep, so the sweep
+///    reads the waker's ranks. All flags clean then means every stripe
+///    was swept after the last move above tau anywhere.
+///  * Round budget. Within one round of the team, each of a stripe's
+///    numThreads - 1 peers may wake it, so a sweep that moved some vertex
+///    by more than tau spends 1/numThreads of a round (the first sweep a
+///    whole one), and maxRound counts rounds in those units. A clean
+///    sweep is free, so a worker whose stripe settled early (before its
+///    peers were spawned, or while they are descheduled) keeps its
+///    stripe current instead of spending its budget and leaving. Clean
+///    sweeps that no wake prompted yield the CPU, and maxIterations of
+///    them in a row end the worker: no peer is making progress (one has
+///    crashed, or every other worker left).
+///  * A worker that leaves unconverged re-marks its stripe, so a later
+///    clean scan cannot hide a stripe nobody sweeps any more.
+void staticStripeWorker(const LfShared& s, int tid) {
+  const std::size_t n = s.graph.numVertices();
+  const auto numThreads =
+      static_cast<std::size_t>(std::max(s.opt.numThreads, 1));
+  const auto stripeBegin = [&](std::size_t t) { return n * t / numThreads; };
+  const auto self = static_cast<std::size_t>(tid);
+  const std::size_t begin = stripeBegin(self);
+  const std::size_t end = stripeBegin(self + 1);
+  StepCounters& cnt = s.counters[tid];
+  std::size_t scanHint = 0;
+  const int maxRounds = s.opt.maxIterations;
+
+  int round = 0;
+  std::size_t charge = 0;  // toward the next round, in 1/numThreads units
+  int idle = 0;            // clean sweeps in a row that no wake prompted
+  while (round < maxRounds && !exitLoops(s)) {
+    bool woken = false;
+    if (end > begin) {
+      ++cnt.flagRmws;
+      woken = s.notConverged.exchange(begin, 0, std::memory_order_acquire) != 0;
+    }
+    bool anyUnconverged = false;
+    if (!processRange(s, cnt, tid, begin, end, anyUnconverged))
+      return;  // crashed
+    if (anyUnconverged) {
+      for (std::size_t t = 0; t < numThreads; ++t) {
+        if (t == self || stripeBegin(t) == stripeBegin(t + 1)) continue;
+        markUnconverged(s, static_cast<VertexId>(stripeBegin(t)));
+        countMarks(s, cnt, 1);
+      }
+    } else if (s.chunkFlags != nullptr && end > begin) {
+      // Chunk-by-chunk clear-then-reverify. A wholesale stripe clear
+      // could wipe chunks a concurrent mark had just set — the
+      // chunk-granularity variant of the lost wakeup.
+      for (std::size_t c = begin / s.opt.chunkSize;
+           c <= (end - 1) / s.opt.chunkSize; ++c)
+        clearChunkFlagAndReverify(s, cnt, c);
+    }
+    if (anyUnconverged || round == 0) {
+      charge += round > 0 ? 1 : numThreads;
+      if (charge >= numThreads) {
+        charge -= numThreads;
+        atomicMaxInt(s.maxRound, ++round);
+      }
+      idle = 0;
+    } else if (woken) {
+      idle = 0;
+    } else if (++idle >= maxRounds) {
+      break;
+    } else {
+      std::this_thread::yield();
+    }
+    if (flagsAllZeroFrom(s, scanHint)) {
+      s.allConverged.store(true, std::memory_order_relaxed);
+      return;
+    }
+  }
+  if (s.allConverged.load(std::memory_order_relaxed)) return;
+  for (std::size_t v = begin; v < end; ++v)
+    markUnconverged(s, static_cast<VertexId>(v));
+  countMarks(s, cnt, end - begin);
+}
+
 }  // namespace
 
 void lfIterateWorker(const LfShared& s, int tid) {
-  const std::size_t n = s.graph.numVertices();
+  if (s.opt.staticSchedule) {
+    staticStripeWorker(s, tid);
+    return;
+  }
   StepCounters& cnt = s.counters[tid];
   std::size_t scanHint = 0;  // resume point for this thread's convergence scans
-  const int maxRounds = s.opt.maxIterations;
-
-  // Static-schedule ablation (Eedi et al. style): each thread owns a fixed
-  // stripe of the vertex range instead of pulling dynamic chunks.
-  std::size_t stripeBegin = 0, stripeEnd = n;
-  if (s.opt.staticSchedule) {
-    const auto t = static_cast<std::size_t>(tid);
-    const auto numThreads = static_cast<std::size_t>(s.opt.numThreads > 0
-                                                         ? s.opt.numThreads
-                                                         : 1);
-    stripeBegin = n * t / numThreads;
-    stripeEnd = n * (t + 1) / numThreads;
-  }
-
-  for (int round = 0; round < maxRounds; ++round) {
+  for (int round = 0; round < s.opt.maxIterations; ++round) {
     if (exitLoops(s)) break;
-
-    if (s.opt.staticSchedule) {
+    std::size_t begin = 0, end = 0;
+    while (!exitLoops(s) &&
+           s.rounds.next(static_cast<std::size_t>(round), begin, end)) {
       bool anyUnconverged = false;
-      if (!processRange(s, cnt, tid, stripeBegin, stripeEnd, anyUnconverged))
+      if (!processRange(s, cnt, tid, begin, end, anyUnconverged))
         return;  // crashed
-      // Chunk-by-chunk clear-then-reverify. The seed's wholesale stripe
-      // clear could wipe chunks a concurrent frontier expansion had just
-      // re-marked — the chunk-granularity variant of the lost wakeup.
-      if (s.chunkFlags != nullptr && !anyUnconverged && stripeEnd > stripeBegin) {
-        for (std::size_t c = stripeBegin / s.opt.chunkSize;
-             c <= (stripeEnd - 1) / s.opt.chunkSize; ++c)
-          clearChunkFlagAndReverify(s, cnt, c);
-      }
-    } else {
-      std::size_t begin = 0, end = 0;
-      while (!exitLoops(s) &&
-             s.rounds.next(static_cast<std::size_t>(round), begin, end)) {
-        bool anyUnconverged = false;
-        if (!processRange(s, cnt, tid, begin, end, anyUnconverged))
-          return;  // crashed
-        if (s.chunkFlags != nullptr && !anyUnconverged)
-          clearChunkFlagAndReverify(s, cnt, begin / s.opt.chunkSize);
-      }
+      if (s.chunkFlags != nullptr && !anyUnconverged)
+        clearChunkFlagAndReverify(s, cnt, begin / s.opt.chunkSize);
     }
-
     atomicMaxInt(s.maxRound, round + 1);
     if (flagsAllZeroFrom(s, scanHint)) {
       s.allConverged.store(true, std::memory_order_relaxed);

@@ -18,8 +18,7 @@ namespace {
 // set (markAffected, RMW-diet item a).
 void markVertex(const MarkShared& s, StepCounters& cnt, VertexId w) {
   markAffected(s.affected, w);
-  markVertexUnconverged(s.notConverged, s.chunkFlags, s.chunkSize, w,
-                        s.worklist);
+  markVertexUnconverged(s.notConverged, s.chunkFlags, s.chunkSize, w);
   cnt.flagRmws += s.chunkFlags != nullptr ? 2 : 1;
 }
 
@@ -41,8 +40,7 @@ void visitDfs(const MarkShared& s, StepCounters& cnt, VertexId start,
     }
     const bool first = s.affected.exchange(w, 1) == 0;
     if (first) {
-      markVertexUnconverged(s.notConverged, s.chunkFlags, s.chunkSize, w,
-                            s.worklist);
+      markVertexUnconverged(s.notConverged, s.chunkFlags, s.chunkSize, w);
       cnt.flagRmws += s.chunkFlags != nullptr ? 2 : 1;
     }
     return first;

@@ -19,7 +19,6 @@
 #include "pagerank/detail/step_counters.hpp"
 #include "sched/chunk_cursor.hpp"
 #include "sched/fault.hpp"
-#include "sched/work_ring.hpp"
 
 namespace lfpr::detail {
 
@@ -41,9 +40,6 @@ struct MarkShared {
   /// DF: mark only the immediate out-neighbours.
   bool traverse = false;
   FaultInjector* fault = nullptr;
-  /// DeltaPush: marks also enqueue the vertex onto its owner's ring,
-  /// which seeds the push iteration. Null for the pull engines.
-  WorklistScheduler* worklist = nullptr;
 };
 
 /// Runs the initial-marking phase on the calling worker thread, counting

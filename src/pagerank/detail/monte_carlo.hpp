@@ -20,7 +20,7 @@
 //     between (deterministically triggered) compactions.
 //
 // Batch ingest is the Bahmani update rule, driven by the repo's DF
-// batch-mark + worklist machinery: an edge update (u, v) can only
+// batch-mark machinery: an edge update (u, v) can only
 // change the distribution of a walk *after* a visit to u (walks pick
 // uniform out-neighbours, so only u's out-distribution changed), so
 // the affected walks are exactly the visit-index entries of the batch

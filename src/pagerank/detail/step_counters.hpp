@@ -12,7 +12,6 @@
 
 namespace lfpr::detail {
 
-/// ringPushes stays 0 here: the step reads it from the rings' tails.
 struct StepCounters : ProtocolStats {
   std::uint64_t rankUpdates = 0;
 };

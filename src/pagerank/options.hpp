@@ -36,7 +36,8 @@ struct PageRankOptions {
   bool perChunkConvergence = false;
   /// Static-LF ablation: fixed per-thread vertex partitions instead of
   /// dynamic chunks — the Eedi et al. scheduling the paper improves on
-  /// (Section 3.3.2).
+  /// (Section 3.3.2). Not crash tolerant: a crashed owner's stripe is
+  /// never swept again, so such a run ends unconverged.
   bool staticSchedule = false;
   /// MonteCarlo only: R — random-walk segments rooted at every vertex.
   /// Accuracy scales as 1/sqrt(R) (error.hpp mcL1ErrorBound), memory and
@@ -75,24 +76,18 @@ struct ProtocolStats {
   std::uint64_t rePulls = 0;
   /// RMWs on the notConverged / chunk flags (marks and clears).
   std::uint64_t flagRmws = 0;
-  /// Successful work-ring pushes (DeltaPush activations). Always zero
-  /// for the pull engines, whose dense chunked sweep finds its work
-  /// through the flags, and for MonteCarlo, which repairs off its claim
-  /// lists (its repaired walks are counted in rankUpdates).
-  std::uint64_t ringPushes = 0;
   /// Residual fetch-adds into out-neighbours (DeltaPush only) — the
   /// push-engine analogue of per-edge pull work, so push-vs-pull
   /// redundant-work claims are measurable, not inferred.
   std::uint64_t residualPushes = 0;
   /// Threshold-crossing activations (DeltaPush only): pushes whose
-  /// target residual crossed the activation threshold and entered the
-  /// worklist.
+  /// target residual crossed the activation threshold and marked its
+  /// RC flag, plus clears that the reverify undid.
   std::uint64_t activations = 0;
 
   ProtocolStats& operator+=(const ProtocolStats& o) noexcept {
     rePulls += o.rePulls;
     flagRmws += o.flagRmws;
-    ringPushes += o.ringPushes;
     residualPushes += o.residualPushes;
     activations += o.activations;
     return *this;

@@ -70,9 +70,11 @@ PageRankResult dfLF(const CsrGraph& prev, const CsrGraph& curr, const BatchUpdat
 /// eight). DF marking seeds per-vertex residual accumulators, then
 /// workers forward-push only the changed mass through lock-free
 /// fetch-adds — built for the mid-density batch band where the pull
-/// sweep does redundant work. The engine is worklist-driven by
-/// construction. A vertex activates when its residual crosses
-/// opt.tolerance, so the usual asyncToleranceBound certificate holds.
+/// sweep does redundant work. A vertex activates (its RC flag is
+/// marked) when its residual crosses opt.tolerance, and workers drain
+/// flagged vertices with the pull engines' chunked flag sweep, so a
+/// crashed thread's vertices are drained by survivors in later rounds.
+/// The usual asyncToleranceBound certificate holds.
 PageRankResult deltaPush(const CsrGraph& prev, const CsrGraph& curr,
                          const BatchUpdate& batch,
                          std::span<const double> prevRanks,

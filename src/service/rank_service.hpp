@@ -20,8 +20,8 @@
 //     bounds the published ranks' distance from the exact fixpoint of
 //     the graph at that epoch.
 //
-// Crash recovery is a service-level property (PR 5's intra-solve
-// takeover handles threads dying *inside* a step; this layer handles
+// Crash recovery is a service-level property (the engines' chunked
+// sweeps absorb threads dying *inside* a step; this layer handles
 // whole steps failing): a step that comes back unconverged — injected
 // crash ate too many workers, iteration cap, DNF — triggers up to
 // maxRecoveryAttempts full re-solves (ND semantics: all vertices
@@ -107,7 +107,7 @@ struct ServiceOptions {
   ///              marking by construction; `traverse` is ignored.
   ///   Auto       route each step by the merged batch's edge fraction:
   ///              DeltaPush up to kDeltaPushMaxFraction, Pull above it.
-  ///              Push beats both pull schedulers across the mid band
+  ///              Push beats the pull sweep across the mid band
   ///              (BENCH_pr8.json) and on the tiniest batches too, where
   ///              a 9-edge step on a ~1 M-edge web graph costs ~1.3 ms
   ///              pushed against ~34 ms pulled (README routing table).

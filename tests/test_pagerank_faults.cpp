@@ -236,10 +236,10 @@ TEST(Faults, DelaysDoNotChangeDFLFResultBeyondTolerance) {
   EXPECT_LT(linfNorm(clean.ranks, faulty.ranks), 1e-6);
 }
 
-// Delta-push under faults (PR 8): the publish diet and the no-takeover
-// rule are healthy-mode only — with an injector present every rank apply
-// is a fetch-add, crashed owners' rings are drained by stealing and the
-// remaining flagged residuals are completed by recovery sweeps. A crash
+// Delta-push under faults: phase B finds its work with the pull
+// engines' chunked flag sweep, so a crashed thread just stops taking
+// chunks and the survivors drain its still-flagged vertices in later
+// rounds — healthy and fault-injected runs take the same path. A crash
 // during phase A (marking or residual seeding) is covered by the helping
 // rescans plus the sequential seed repair after the join.
 
@@ -259,14 +259,23 @@ TEST(Faults, DeltaPushConvergesUnderRandomDelays) {
 }
 
 TEST(Faults, DeltaPushSurvivesCrashedThreads) {
+  // The crash must fire for this to test anything: a thread the OS starts
+  // late can finish with fewer updates than its crash point, so on a
+  // loaded host one schedule may fire none. Retry with new schedules
+  // until one does; every attempt must converge to the reference.
   const auto scenario = makeFaultScenario(42);
   const auto ref = referenceRanks(scenario.curr);
-  FaultInjector fault(8, makeCrashConfig(8, 4, 50, 3000, 43));
-  const auto r = deltaPush(scenario.prev, scenario.curr, scenario.batch,
-                           scenario.prevRanks, faultOptions(), &fault);
-  EXPECT_TRUE(r.converged);
-  EXPECT_FALSE(r.dnf);
-  EXPECT_LT(linfNorm(r.ranks, ref), 1e-6);
+  int crashed = 0;
+  for (std::uint64_t seed = 43; seed < 48 && crashed == 0; ++seed) {
+    FaultInjector fault(8, makeCrashConfig(8, 4, 50, 3000, seed));
+    const auto r = deltaPush(scenario.prev, scenario.curr, scenario.batch,
+                             scenario.prevRanks, faultOptions(), &fault);
+    EXPECT_TRUE(r.converged) << "seed " << seed;
+    EXPECT_FALSE(r.dnf) << "seed " << seed;
+    EXPECT_LT(linfNorm(r.ranks, ref), 1e-6) << "seed " << seed;
+    crashed = fault.numCrashed();
+  }
+  EXPECT_GT(crashed, 0) << "no schedule fired a crash: survivors absorbed nothing";
 }
 
 TEST(Faults, DeltaPushCrashDuringSeedPhaseIsTolerated) {
@@ -282,6 +291,7 @@ TEST(Faults, DeltaPushCrashDuringSeedPhaseIsTolerated) {
   FaultInjector fault(8, cfg);
   const auto r = deltaPush(scenario.prev, scenario.curr, scenario.batch,
                            scenario.prevRanks, faultOptions(), &fault);
+  EXPECT_GT(fault.numCrashed(), 0) << "no crash fired: survivors absorbed nothing";
   EXPECT_TRUE(r.converged);
   EXPECT_LT(linfNorm(r.ranks, referenceRanks(scenario.curr)), 1e-6);
 }
@@ -316,12 +326,14 @@ TEST(Faults, DeltaPushDelaysDoNotChangeResultBeyondTolerance) {
 }
 
 TEST(Faults, DeltaPushHealthyTeamWaitsForDescheduledPeers) {
-  // No injector, so no takeover: a worker whose partition is clean must
-  // stay until no peer can push into it. Threads that spin without
-  // yielding, two per core, keep the solve's workers descheduled for
-  // whole scheduler slices in the middle of a drain; leaving on a timeout
-  // or a yield count instead of on the team's quiescence strands their
-  // later pushes and ends the run unconverged.
+  // Healthy runs have no exit rule of their own: a worker leaves only
+  // when its convergence scan finds every flag clean (or at the round
+  // cap). Threads that spin without yielding, two per core, keep the
+  // solve's workers descheduled for whole scheduler slices in the middle
+  // of a drain. A scan may then pass while a peer still holds drained
+  // mass, but the team joins before the result is read, and the post-join
+  // finish pass drains every crossing that peer makes afterwards, so its
+  // pushes are never stranded.
   std::vector<DynamicScenario> scenarios;
   for (std::uint64_t seed = 47; seed < 52; ++seed) scenarios.push_back(makeFaultScenario(seed));
   std::vector<PageRankResult> results;

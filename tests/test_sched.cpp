@@ -1,9 +1,8 @@
 // Unit tests for src/sched: lock-free chunk scheduling, thread team,
 // CPU placement hint, instrumented barrier (wait accounting, breakage),
-// fault injection, the work rings DeltaPush runs on.
+// fault injection.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <thread>
@@ -18,8 +17,6 @@
 #include "sched/cpu_placement.hpp"
 #include "sched/fault.hpp"
 #include "sched/thread_team.hpp"
-#include "sched/work_ring.hpp"
-#include "util/rng.hpp"
 
 namespace lfpr {
 namespace {
@@ -300,165 +297,6 @@ TEST(MakeCrashConfig, IsDeterministic) {
   const auto a = makeCrashConfig(8, 3, 10, 100, 7);
   const auto b = makeCrashConfig(8, 3, 10, 100, 7);
   EXPECT_EQ(a.crashAfterUpdates, b.crashAfterUpdates);
-}
-
-// ----- WorkRing / WorklistScheduler (DeltaPush rings) ---------------------
-
-TEST(WorkRing, FifoSingleThread) {
-  WorkRing ring(8);
-  EXPECT_GE(ring.capacity(), 8u);
-  EXPECT_TRUE(ring.empty());
-  for (VertexId v = 0; v < 8; ++v) EXPECT_TRUE(ring.tryPush(v));
-  VertexId v = 0;
-  for (VertexId want = 0; want < 8; ++want) {
-    ASSERT_TRUE(ring.tryPop(v));
-    EXPECT_EQ(v, want);
-  }
-  EXPECT_FALSE(ring.tryPop(v));
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(WorkRing, FullRingRefusesPush) {
-  WorkRing ring(2);  // capacity rounds to 2
-  ASSERT_EQ(ring.capacity(), 2u);
-  EXPECT_TRUE(ring.tryPush(1));
-  EXPECT_TRUE(ring.tryPush(2));
-  EXPECT_FALSE(ring.tryPush(3));
-  VertexId v = 0;
-  ASSERT_TRUE(ring.tryPop(v));
-  EXPECT_TRUE(ring.tryPush(3));  // slot recycled after the pop
-}
-
-TEST(WorkRing, WrapsAroundManyTimes) {
-  WorkRing ring(4);
-  VertexId v = 0;
-  for (VertexId i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(ring.tryPush(i));
-    ASSERT_TRUE(ring.tryPop(v));
-    EXPECT_EQ(v, i);
-  }
-}
-
-TEST(WorkRing, ConcurrentProducersOneConsumerDeliverEverythingOnce) {
-  constexpr int kProducers = 3;
-  constexpr VertexId kPerProducer = 5000;
-  WorkRing ring(kProducers * kPerProducer);
-  std::vector<std::atomic<int>> seen(kProducers * kPerProducer);
-  std::atomic<int> produced{0};
-
-  ThreadTeam team(kProducers + 1);
-  team.run([&](int tid) {
-    if (tid < kProducers) {
-      for (VertexId i = 0; i < kPerProducer; ++i) {
-        const VertexId v = static_cast<VertexId>(tid) * kPerProducer + i;
-        while (!ring.tryPush(v)) std::this_thread::yield();
-        produced.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      int got = 0;
-      VertexId v = 0;
-      while (got < kProducers * static_cast<int>(kPerProducer)) {
-        if (ring.tryPop(v)) {
-          seen[v].fetch_add(1, std::memory_order_relaxed);
-          ++got;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    }
-  });
-  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
-}
-
-TEST(WorklistScheduler, PartitionCoversVertexRangeExactlyOnce) {
-  for (const auto& [n, threads] : {std::pair<std::size_t, int>{100, 4},
-                                  {7, 8},
-                                  {4096, 3},
-                                  {1, 1}}) {
-    WorklistScheduler wl(n, threads);
-    std::size_t covered = 0;
-    for (int t = 0; t < wl.numThreads(); ++t) {
-      EXPECT_LE(wl.ownedBegin(t), wl.ownedEnd(t));
-      covered += wl.ownedEnd(t) - wl.ownedBegin(t);
-      for (std::size_t v = wl.ownedBegin(t); v < wl.ownedEnd(t); ++v)
-        EXPECT_EQ(wl.owner(v), t);
-    }
-    EXPECT_EQ(covered, n);
-  }
-}
-
-TEST(WorklistScheduler, EnqueueDeduplicatesUntilPopped) {
-  WorklistScheduler wl(64, 2);
-  wl.enqueue(5);
-  wl.enqueue(5);  // dedup: still one in-flight entry
-  VertexId v = 0;
-  ASSERT_TRUE(wl.tryPop(wl.owner(5), v));
-  EXPECT_EQ(v, 5u);
-  EXPECT_FALSE(wl.tryPop(wl.owner(5), v));
-  wl.enqueue(5);  // re-enqueue allowed after the pop
-  ASSERT_TRUE(wl.tryPop(wl.owner(5), v));
-  EXPECT_EQ(v, 5u);
-}
-
-TEST(WorklistScheduler, EnqueueRoutesToOwnerRing) {
-  WorklistScheduler wl(100, 4);
-  for (std::size_t v = 0; v < 100; ++v) wl.enqueue(v);
-  std::vector<std::uint8_t> seen(100, 0);
-  for (int t = 0; t < 4; ++t) {
-    VertexId v = 0;
-    while (wl.tryPop(t, v)) {
-      EXPECT_EQ(wl.owner(v), t) << "vertex " << v << " popped from ring " << t;
-      EXPECT_EQ(seen[v], 0);
-      seen[v] = 1;
-    }
-  }
-  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), 100);
-}
-
-TEST(WorklistScheduler, StealDrainsForeignRings) {
-  WorklistScheduler wl(64, 4);
-  wl.enqueue(2);   // ring 0
-  wl.enqueue(63);  // ring 3
-  std::vector<VertexId> got;
-  VertexId v = 0;
-  while (wl.trySteal(1, v)) got.push_back(v);
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, (std::vector<VertexId>{2, 63}));
-}
-
-TEST(WorklistScheduler, ConcurrentMarkersNeverExceedOneEntryPerVertex) {
-  // 4 markers hammer the same 32 vertices; each pop is matched against a
-  // per-vertex in-flight counter. The dedup flag must keep every vertex
-  // at <= 1 ring entry, and owner-sized rings must therefore never refuse
-  // a push (WorklistScheduler::enqueue's overflow valve stays cold).
-  constexpr std::size_t kN = 32;
-  WorklistScheduler wl(kN, 2);
-  std::atomic<bool> stop{false};
-  std::vector<std::atomic<int>> inFlight(kN);
-
-  ThreadTeam team(6);
-  team.run([&](int tid) {
-    Rng rng(static_cast<std::uint64_t>(tid) + 1);
-    if (tid < 4) {  // markers
-      for (int i = 0; i < 20000; ++i)
-        wl.enqueue(static_cast<std::size_t>(rng.uniform() * kN) % kN);
-    } else {  // consumers (tids 4,5 drain rings 0,1)
-      const int ring = tid - 4;
-      VertexId v = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (wl.tryPop(ring, v)) {
-          const int entries = inFlight[v].fetch_add(1) + 1;
-          EXPECT_EQ(entries, 1) << "vertex " << v;
-          inFlight[v].fetch_sub(1);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-      while (wl.tryPop(ring, v)) {
-      }
-    }
-    if (tid < 4) stop.store(true, std::memory_order_relaxed);
-  });
 }
 
 }  // namespace

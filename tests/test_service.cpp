@@ -526,8 +526,7 @@ TEST(Service, StatsAccumulateProtocolCounters) {
   EXPECT_GT(after.rankUpdates, first.rankUpdates);
   EXPECT_GT(after.protocolStats.flagRmws, first.protocolStats.flagRmws);
   EXPECT_GT(after.protocolStats.residualPushes, 0u);
-  EXPECT_GT(after.protocolStats.activations, 0u);
-  EXPECT_GT(after.protocolStats.ringPushes, first.protocolStats.ringPushes);
+  EXPECT_GT(after.protocolStats.activations, first.protocolStats.activations);
 }
 
 // ---------------------------------------------------------------------
